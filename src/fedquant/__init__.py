@@ -6,13 +6,13 @@ from .errors import (AggregationError, ConfigError, DegenerateTensorError,
                      UsageError)
 from .evaluation import BitConfig, EvalReport, evaluate, quantize_for_eval, sweep
 from .federation import (FedConfig, ServerState, TrainingHistory, aggregate,
-                         load_checkpoint, run, sample_clients, save_checkpoint,
-                         server_step)
+                         init_state, load_checkpoint, run, sample_clients,
+                         save_checkpoint, server_step, step_round)
 from .mlp import (Batch, ParamSet, QuantPlan, backward, forward, init_params,
                   kure_gradient, kure_loss, kurtosis)
 from .quantize import (QuantSpec, StepTable, estimate_range_mse, make_spec,
                        pseudo_quantize, quantize, rescale_step, ste_backward)
-from .rng import Purpose, RngStream, derive_stream
+from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
                          calibrate_steps, local_train, sample_bitwidth)
 from .theory import (BoundInputs, BoundReport, check_conditions, compute_bound,

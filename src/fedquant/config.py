@@ -76,25 +76,43 @@ DEFAULTS: dict = {
     },
 }
 
-# keys that may hold null; everything else must match the default's type
-_NULLABLE = {("data", "csv_path"), ("federation", "local_steps"),
-             ("strategy", "train_bits")}
+# keys that may hold null, with the type of their non-null values;
+# every other key must match its default's type
+_NULLABLE = {("data", "csv_path"): str, ("federation", "local_steps"): int,
+             ("strategy", "train_bits"): int}
+
+
+def _type_ok(value, kind: type) -> bool:
+    """JSON-level type check: bool is not an int, an int is a valid float,
+    and every list in the schema holds integers."""
+    if kind is list:
+        return isinstance(value, list) and all(_type_ok(v, int) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _check_section(defaults: dict, given: dict, trail: tuple[str, ...]) -> dict:
     merged = {}
     for key, value in given.items():
+        where = ".".join(trail + (key,))
         if key not in defaults:
-            where = ".".join(trail + (key,))
             raise ConfigError(f"unknown config key {where!r}")
         base = defaults[key]
         if isinstance(base, dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"{'.'.join(trail + (key,))} must be a section")
+                raise ConfigError(f"{where} must be a section")
             merged[key] = _check_section(base, value, trail + (key,))
             continue
-        if value is None and trail + (key,) not in _NULLABLE and base is not None:
-            raise ConfigError(f"{'.'.join(trail + (key,))} may not be null")
+        nullable = _NULLABLE.get(trail + (key,))
+        if value is None and nullable is None:
+            raise ConfigError(f"{where} may not be null")
+        kind = nullable or type(base)
+        if value is not None and not _type_ok(value, kind):
+            expected = "a list of integers" if kind is list else kind.__name__
+            raise ConfigError(f"{where} must be {expected}, got {value!r}")
         merged[key] = value
     for key, base in defaults.items():
         if key not in merged:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,15 +182,10 @@ def evaluate_global(params: ParamSet, dataset: Dataset) -> tuple[float, float]:
     return acc, mean_cross_entropy(logits, dataset.labels)
 
 
-def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
-        hidden: tuple[int, ...] = (64,), threads: int = 1,
-        progress=None) -> tuple[ServerState, TrainingHistory]:
-    """Execute the full round loop; deterministic for a given cfg.seed.
-
-    ``progress`` is an optional callback(round_idx, HistoryRow) fired at each
-    evaluation round. Client work runs on a thread pool when threads > 1; the
-    result is independent of the thread count by construction.
-    """
+def init_state(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
+               hidden: tuple[int, ...]) -> ServerState:
+    """Round-0 state: He-initialised parameters, the step tables calibrated on
+    them (quantizing strategies only) and zero Adam moments (Adam only)."""
     if data.num_clients != cfg.num_clients:
         raise ConfigError(f"config expects {cfg.num_clients} clients, "
                           f"dataset has {data.num_clients}")
@@ -205,39 +200,65 @@ def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
     if strat.quantizing:
         tables = calibrate_steps(params, strat.relevant_bits(), calib_batch,
                                  strat.quantize_acts)
-    dim = params.dim
-    state = ServerState(
-        round_idx=0, params=params,
-        adam_m=np.zeros(dim) if cfg.server_opt == "adam" else None,
-        adam_v=np.zeros(dim) if cfg.server_opt == "adam" else None,
-        step_tables=tables)
+    adam = cfg.server_opt == "adam"
+    return ServerState(round_idx=0, params=params,
+                       adam_m=np.zeros(params.dim) if adam else None,
+                       adam_v=np.zeros(params.dim) if adam else None,
+                       step_tables=tables)
 
-    def run_client(round_idx: int, client_id: int, start: ParamSet) -> ClientUpdate:
+
+def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
+               data: FederatedDataset, root: RngStream,
+               pool: Executor | None = None
+               ) -> tuple[ServerState, list[ClientUpdate]]:
+    """Run round ``state.round_idx``: sample clients, train each from the
+    global parameters with ``state.step_tables``, aggregate, server step.
+
+    ``root`` is the run's ``RngStream(cfg.seed)``, from which every client
+    stream derives, so the optional ``pool`` cannot change the result.
+    """
+    t = state.round_idx
+    train = data.base
+    selected = sample_clients(cfg.num_clients, cfg.clients_per_round,
+                              root.child(Purpose.CLIENT_SAMPLING, t))
+
+    def run_client(client_id: int) -> ClientUpdate:
         indices = data.client_indices(client_id)
         steps = _resolve_local_steps(cfg, indices.size)
-        batch_rng = root.child(Purpose.BATCH, round_idx, client_id)
+        batch_rng = root.child(Purpose.BATCH, t, client_id)
         task = ClientTask(
-            client_id=client_id, round_idx=round_idx, start_params=start,
-            step_tables=tables, local_steps=steps, eta_c=cfg.eta_c,
+            client_id=client_id, round_idx=t, start_params=state.params,
+            step_tables=state.step_tables, local_steps=steps, eta_c=cfg.eta_c,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
-            rng=root.child(Purpose.NOISE, round_idx, client_id))
-        bit = resolve_bits(strat, round_idx, client_id, root)
+            rng=root.child(Purpose.NOISE, t, client_id))
+        bit = resolve_bits(strat, t, client_id, root)
         sampled = bit if strat.kind == "mqat" else None
         return local_train(task, strat, sampled_bit=sampled)
 
+    ids = [int(cid) for cid in selected]
+    if pool is not None:
+        updates = list(pool.map(run_client, ids))
+    else:
+        updates = [run_client(cid) for cid in ids]
+    return server_step(state, aggregate(updates), cfg), updates
+
+
+def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
+        hidden: tuple[int, ...] = (64,), threads: int = 1,
+        progress=None) -> tuple[ServerState, TrainingHistory]:
+    """Execute the full round loop; deterministic for a given cfg.seed.
+
+    ``progress`` is an optional callback(round_idx, HistoryRow) fired at each
+    evaluation round. Client work runs on a thread pool when threads > 1; the
+    result is independent of the thread count by construction.
+    """
+    state = init_state(cfg, strat, data, hidden)
+    root = RngStream(cfg.seed)
     history = TrainingHistory()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for t in range(cfg.total_rounds):
-            selected = sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                      root.child(Purpose.CLIENT_SAMPLING, t))
-            jobs = [(t, int(cid), state.params) for cid in selected]
-            if pool is not None:
-                updates = list(pool.map(lambda j: run_client(*j), jobs))
-            else:
-                updates = [run_client(*j) for j in jobs]
-            delta = aggregate(updates)
-            state = server_step(state, delta, cfg)
+            state, updates = step_round(state, cfg, strat, data, root, pool)
             if (t + 1) % cfg.eval_every == 0 or t == cfg.total_rounds - 1:
                 acc, loss = evaluate_global(state.params, data.holdout)
                 client_loss = float(np.mean(
@@ -249,7 +270,9 @@ def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
                     progress(t + 1, row)
     finally:
         if pool is not None:
-            pool.shutdown(wait=False)
+            # a diverging client must not leave the round's queued clients
+            # training in the background
+            pool.shutdown(wait=False, cancel_futures=True)
     return state, history
 
 
@@ -299,18 +322,32 @@ def save_checkpoint(path: str, state: ServerState, config: dict) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ServerState, dict]:
+    """Read a checkpoint written by ``save_checkpoint``; any malformed or
+    tampered file raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("magic") != CHECKPOINT_MAGIC:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a JSON checkpoint: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path} is not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')}")
-    layers = [(np.asarray(l["weight"], dtype=np.float64),
-               np.asarray(l["bias"], dtype=np.float64)) for l in doc["layers"]]
-    state = ServerState(
-        round_idx=int(doc["round"]),
-        params=ParamSet(layers),
-        adam_m=None if doc["adam_m"] is None else np.asarray(doc["adam_m"]),
-        adam_v=None if doc["adam_v"] is None else np.asarray(doc["adam_v"]),
-        step_tables=_tables_from_json(doc["step_tables"]))
+    missing = [k for k in ("round", "config_hash", "config", "layers", "adam_m",
+                           "adam_v", "step_tables") if k not in doc]
+    if missing:
+        raise ConfigError(f"checkpoint {path} lacks {', '.join(missing)}")
+    if config_hash(doc["config"]) != doc["config_hash"]:
+        raise ConfigError(f"checkpoint {path}: config does not match its config_hash")
+    try:
+        layers = [(np.asarray(l["weight"], dtype=np.float64),
+                   np.asarray(l["bias"], dtype=np.float64)) for l in doc["layers"]]
+        state = ServerState(
+            round_idx=int(doc["round"]),
+            params=ParamSet(layers),
+            adam_m=None if doc["adam_m"] is None else np.asarray(doc["adam_m"]),
+            adam_v=None if doc["adam_v"] is None else np.asarray(doc["adam_v"]),
+            step_tables=_tables_from_json(doc["step_tables"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path} is malformed: {exc!r}") from exc
     return state, doc["config"]

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DegenerateTensorError, NumericError, ShapeError, UsageError
 from .quantize import QuantSpec, pseudo_quantize, quantize, ste_backward
 from .rng import RngStream
-from .tensors import flatten_all, matmul
 
 
 @dataclass
@@ -74,7 +73,7 @@ class ParamSet:
         return ParamSet([(w.copy(), b.copy()) for w, b in self.layers])
 
     def flatten(self) -> np.ndarray:
-        return flatten_all([t for pair in self.layers for t in pair])
+        return np.concatenate([np.ravel(t) for pair in self.layers for t in pair])
 
     def unflatten(self, vec: np.ndarray) -> "ParamSet":
         """Rebuild a ParamSet with this one's shapes from a flat vector."""
@@ -96,6 +95,23 @@ class ParamSet:
         for (w, b), (ow, ob) in zip(self.layers, other.layers):
             w += scale * ow
             b += scale * ob
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two rank-2 tensors with explicit shape checking.
+
+    A non-finite product raises NumericError, which local training reports
+    as a diverged client.
+    """
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs rank-2 inputs, got {a.ndim} and {b.ndim}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
+    if not np.all(np.isfinite(out)):
+        raise NumericError("matmul result contains non-finite values")
+    return out
 
 
 def init_params(widths: list[int], rng: RngStream) -> ParamSet:

@@ -154,7 +154,3 @@ class RngStream:
             total = 1.0
         return g / total
 
-
-def derive_stream(root_seed: int, path: list[int] | tuple[int, ...]) -> RngStream:
-    """Public constructor mirroring the (seed, path) determinism contract."""
-    return RngStream(root_seed, path)

@@ -33,12 +33,11 @@ import numpy as np
 
 from .data import FederatedDataset
 from .errors import ConfigError
-from .federation import (FedConfig, ServerState, aggregate, client_batches,
-                         server_step)
+from .federation import FedConfig, ServerState, step_round
 from .mlp import Batch, ParamSet, backward, forward, init_params
 from .quantize import QuantSpec, StepTable, quantize
 from .rng import Purpose, RngStream
-from .strategies import ClientTask, StepTables, StrategyConfig, local_train
+from .strategies import StepTables, StrategyConfig
 
 BOUND_METHODS = ("apqn", "qat", "mqat")
 
@@ -335,26 +334,11 @@ def empirical_bound_check(data: FederatedDataset, hidden: tuple[int, ...],
                     server_opt="sgd", seed=seed, eval_every=max(1, rounds))
     strat = StrategyConfig(kind="qat", train_bits=train_bits)
 
-    grad_sq: list[float] = []
     loss0, g0 = _global_loss_grad(params0, per_client)
-
-    # hand-rolled round loop with gradient probes, built from the same
-    # pieces as `federation.run` so the training semantics match exactly
+    grad_sq = [float(g0 @ g0)]
     state = ServerState(round_idx=0, params=params0, step_tables=tables)
-    grad_sq.append(float(g0 @ g0))
     for t in range(rounds):
-        updates = []
-        for cid in range(data.num_clients):
-            idx = data.assignment[cid]
-            batch_rng = root.child(Purpose.BATCH, t, cid)
-            task = ClientTask(
-                client_id=cid, round_idx=t, start_params=state.params,
-                step_tables=tables, local_steps=local_steps, eta_c=eta_c,
-                batches=client_batches(train, idx, local_steps, batch_size,
-                                       batch_rng),
-                rng=root.child(Purpose.NOISE, t, cid))
-            updates.append(local_train(task, strat))
-        state = server_step(state, aggregate(updates), cfg)
+        state, _ = step_round(state, cfg, strat, data, root)
         if t < rounds - 1:
             _, g = _global_loss_grad(state.params, per_client)
             grad_sq.append(float(g @ g))

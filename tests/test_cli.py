@@ -119,11 +119,68 @@ class TestRunCommand:
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        out = str(tmp_path / "div")
-        code = main(["run", "--config", cfg, "--out", out, "--quiet",
-                     "--set", "federation.eta_c=1e300"])
-        assert code == 3
-        assert "diverged" in capsys.readouterr().err
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"div{threads}")
+            code = main(["run", "--config", cfg, "--out", out, "--quiet",
+                         "--threads", threads, "--set", "federation.eta_c=1e300"])
+            assert code == 3, threads
+            assert "diverged" in capsys.readouterr().err, threads
+
+
+def _bad_checkpoint(edit):
+    """Table entry: the smoke checkpoint with ``edit`` applied to its JSON."""
+    def build(tmp_path, checkpoint):
+        doc = json.loads(open(checkpoint, encoding="utf-8").read())
+        edit(doc)
+        path = tmp_path / "bad_checkpoint.json"
+        path.write_text(json.dumps(doc))
+        return ["eval", "--checkpoint", str(path)]
+    return build
+
+
+def _not_json(tmp_path, checkpoint):
+    path = tmp_path / "bad_checkpoint.json"
+    path.write_text("{not json")
+    return ["eval", "--checkpoint", str(path)]
+
+
+def _override(value):
+    def build(tmp_path, checkpoint):
+        return ["run", "--config", write_config(tmp_path), "--quiet",
+                "--out", str(tmp_path / "out"),
+                "--set", f"federation.total_rounds={value}"]
+    return build
+
+
+MALFORMED_INPUTS = {
+    "checkpoint-not-json": _not_json,
+    "checkpoint-without-layers": _bad_checkpoint(lambda d: d.pop("layers")),
+    "checkpoint-malformed-layer": _bad_checkpoint(
+        lambda d: d["layers"].__setitem__(0, {"weight": "abc"})),
+    "checkpoint-stale-config-hash": _bad_checkpoint(
+        lambda d: d["config"].update(seed=d["config"]["seed"] + 1)),
+    "override-str-as-int": _override('"abc"'),
+    "override-bool-as-int": _override("true"),
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("smoke")
+    cfg = write_config(out)
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return str(out / "checkpoint.json")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys,
+                                                     smoke_checkpoint):
+    argv = MALFORMED_INPUTS[case](tmp_path, smoke_checkpoint)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 class TestBoundCommand:

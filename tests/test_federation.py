@@ -6,8 +6,9 @@ import pytest
 from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
 from fedquant.errors import AggregationError, ConfigError
 from fedquant.federation import (FedConfig, ServerState, aggregate,
-                                 evaluate_global, load_checkpoint, run,
-                                 sample_clients, save_checkpoint, server_step)
+                                 evaluate_global, init_state, load_checkpoint,
+                                 run, sample_clients, save_checkpoint,
+                                 server_step, step_round)
 from fedquant.mlp import Batch, backward, forward, init_params
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import ClientUpdate, StrategyConfig
@@ -215,6 +216,28 @@ class TestRun:
         s_b, _ = run(cfg, StrategyConfig(), data, hidden=(6,))
         assert np.array_equal(s_a.params.flatten(), s_b.params.flatten())
         assert np.array_equal(s_a.adam_m, s_b.adam_m)
+
+
+    @pytest.mark.parametrize("server_opt,strat", [
+        ("sgd", StrategyConfig()),
+        ("adam", StrategyConfig()),
+        ("adam", StrategyConfig(kind="mqat", bit_set=(2, 4, 32),
+                                mqat_mode="per_round")),
+    ], ids=["sgd-baseline", "adam-baseline", "adam-mqat-per-round"])
+    def test_run_equals_init_state_then_step_round(self, server_opt, strat):
+        data = tiny_fed_data(seed=9)
+        cfg = FedConfig(total_rounds=3, num_clients=8, clients_per_round=3,
+                        eta_s=0.5, eta_c=0.05, local_steps=2, batch_size=8,
+                        server_opt=server_opt, seed=17, eval_every=1)
+        ran, _ = run(cfg, strat, data, hidden=(6,))
+        state = init_state(cfg, strat, data, (6,))
+        root = RngStream(cfg.seed)
+        for t in range(cfg.total_rounds):
+            state, updates = step_round(state, cfg, strat, data, root)
+            assert state.round_idx == t + 1 and len(updates) == 3
+        assert np.array_equal(state.params.flatten(), ran.params.flatten())
+        for got, want in ((state.adam_m, ran.adam_m), (state.adam_v, ran.adam_v)):
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 class TestCheckpoint:

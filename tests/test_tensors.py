@@ -1,11 +1,12 @@
-"""Substrate checks: matmul against a naive oracle, shape/finite guards."""
+"""Tensor substrate checks: the checked ``mlp.matmul`` against a naive
+oracle, its shape and finiteness guards, and ``ParamSet.flatten`` order."""
 
 import numpy as np
 import pytest
 
 from fedquant.errors import NumericError, ShapeError
 from fedquant.rng import RngStream
-from fedquant.tensors import as_tensor, check_finite, flatten_all, matmul
+from fedquant.mlp import ParamSet, matmul
 
 
 def naive_matmul(a, b):
@@ -67,19 +68,13 @@ class TestMatmul:
 
 
 class TestHelpers:
-    def test_as_tensor_reshapes_and_copies(self):
-        src = [1, 2, 3, 4]
-        t = as_tensor(src, (2, 2))
-        assert t.dtype == np.float64 and t.shape == (2, 2)
-
-    def test_as_tensor_rejects_bad_shape(self):
-        with pytest.raises(ShapeError):
-            as_tensor([1, 2, 3], (2, 2))
-
     def test_check_finite(self):
         with pytest.raises(NumericError):
-            check_finite(np.array([1.0, np.nan]))
+            matmul(np.array([[1e200]]), np.array([[1e200]]))
+        with pytest.raises(NumericError):
+            matmul(np.array([[1.0, np.nan]]), np.ones((2, 1)))
 
-    def test_flatten_all_concatenates_row_major(self):
-        flat = flatten_all([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])])
-        assert np.array_equal(flat, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    def test_paramset_flatten_concatenates_row_major(self):
+        params = ParamSet([(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0]))])
+        assert np.array_equal(params.flatten(),
+                              np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
