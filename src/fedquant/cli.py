@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import config as cfgmod
 from .data import partition_stats
@@ -53,27 +54,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="evaluate the convergence bound, print JSON")
     p_bound.add_argument("--config", default=None,
                          help="JSON file with the inputs below (flags win)")
-    p_bound.add_argument("--smoothness", type=float, default=None,
+    p_bound.add_argument("--smoothness", dest="L", type=float, default=None,
                          help="gradient Lipschitz constant L (1/param units)")
-    p_bound.add_argument("--sigma-local", type=float, default=None,
+    p_bound.add_argument("--sigma-local", dest="sigma_l", type=float, default=None,
                          help="mini-batch gradient noise bound sigma_l (gradient units)")
-    p_bound.add_argument("--sigma-global", type=float, default=None,
+    p_bound.add_argument("--sigma-global", dest="sigma_g", type=float, default=None,
                          help="client drift bound sigma_g (gradient units)")
-    p_bound.add_argument("--dim", type=int, default=None,
+    p_bound.add_argument("--dim", dest="D", type=int, default=None,
                          help="parameter count D (dimensionless)")
-    p_bound.add_argument("--local-steps", type=int, default=None,
+    p_bound.add_argument("--local-steps", dest="K", type=int, default=None,
                          help="local SGD steps per round K (dimensionless)")
-    p_bound.add_argument("--rounds", type=int, default=None,
+    p_bound.add_argument("--rounds", dest="T", type=int, default=None,
                          help="federated rounds T (dimensionless)")
-    p_bound.add_argument("--eta-client", type=float, default=None,
+    p_bound.add_argument("--eta-client", dest="eta_c", type=float, default=None,
                          help="client learning rate (step units)")
-    p_bound.add_argument("--eta-server", type=float, default=None,
+    p_bound.add_argument("--eta-server", dest="eta_s", type=float, default=None,
                          help="server learning rate (step units)")
     p_bound.add_argument("--method", choices=("apqn", "qat", "mqat"), default=None,
                          help="training method determining the noise radius R")
-    p_bound.add_argument("--step", type=float, action="append", default=None,
+    p_bound.add_argument("--step", dest="steps", type=float, action="append",
                          help="quantizer step size (weight units); repeat for mqat")
-    p_bound.add_argument("--initial-gap", type=float, default=None,
+    p_bound.add_argument("--initial-gap", dest="initial_gap", type=float, default=None,
                          help="loss gap F(start) - F(best) (loss units)")
 
     p_stats = sub.add_parser("partition-stats",
@@ -103,6 +104,17 @@ def _artifacts(doc: dict, state, history, report, out_dir: str) -> None:
         fh.write("\n")
 
 
+def _sweep(doc: dict, state, fed, strat, data, bit_configs):
+    """Sweep the global model over ``bit_configs`` on the holdout, calibrating
+    activation ranges on the run's seeded calibration batch."""
+    calib = make_calibration_batch(data.base, fed.batch_size, RngStream(fed.seed))
+    metadata = {"seed": doc["seed"], "config_hash": config_hash(doc),
+                "rounds_completed": state.round_idx, "config": doc}
+    return sweep(state, strat, bit_configs, data.holdout,
+                 calib_batch=calib, metadata=metadata,
+                 exempt_first_last=doc["eval"]["exempt_first_last"])
+
+
 def cmd_run(args) -> int:
     doc = cfgmod.load_config(args.config, args.set)
     fed = cfgmod.build_fed_config(doc)
@@ -120,12 +132,7 @@ def cmd_run(args) -> int:
 
     state, history = run(fed, strat, data, hidden=hidden,
                          threads=max(1, args.threads), progress=progress)
-    calib = make_calibration_batch(data.base, fed.batch_size, RngStream(fed.seed))
-    metadata = {"seed": doc["seed"], "config_hash": config_hash(doc),
-                "rounds_completed": state.round_idx, "config": doc}
-    report = sweep(state, strat, bit_configs, data.holdout,
-                   calib_batch=calib, metadata=metadata,
-                   exempt_first_last=doc["eval"]["exempt_first_last"])
+    report = _sweep(doc, state, fed, strat, data, bit_configs)
     _artifacts(doc, state, history, report, out_dir)
     if not args.quiet:
         for row in report.rows:
@@ -137,42 +144,25 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-_BOUND_FIELDS = {
-    "smoothness": "L", "sigma_local": "sigma_l", "sigma_global": "sigma_g",
-    "dim": "D", "local_steps": "K", "rounds": "T", "eta_client": "eta_c",
-    "eta_server": "eta_s", "method": "method", "step": "steps",
-    "initial_gap": "initial_gap",
-}
-
-
 def cmd_bound(args) -> int:
     values: dict = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                values.update(json.load(fh))
+                values = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"bound config not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bound config is not valid JSON: {exc}") from exc
-    for flag, field in _BOUND_FIELDS.items():
-        given = getattr(args, flag)
-        if given is not None:
-            values[field] = given
-    missing = [f for f in ("L", "sigma_l", "sigma_g", "D", "K", "T", "eta_c",
-                           "eta_s", "method", "steps", "initial_gap")
-               if f not in values]
-    if missing:
-        raise ConfigError(f"missing bound inputs: {', '.join(missing)}")
-    steps = values["steps"]
-    if isinstance(steps, (int, float)):
-        steps = [steps]
-    inputs = BoundInputs(L=values["L"], sigma_l=values["sigma_l"],
-                         sigma_g=values["sigma_g"], D=int(values["D"]),
-                         K=int(values["K"]), T=int(values["T"]),
-                         eta_c=values["eta_c"], eta_s=values["eta_s"],
-                         method=values["method"], steps=tuple(steps),
-                         initial_gap=values["initial_gap"])
+        if not isinstance(values, dict):
+            raise ConfigError("bound config root must be an object")
+    for f in fields(BoundInputs):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    if type(values.get("steps")) in (int, float):
+        values["steps"] = [values["steps"]]
+    cfgmod.check_fields(BoundInputs, values, "bound input")
+    inputs = BoundInputs(**values)
     report = compute_bound(inputs)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.conditions_ok else EXIT_CONDITIONS
@@ -190,17 +180,14 @@ def cmd_partition_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    outside = [item for item in args.set if not item.startswith("eval.")]
+    if outside:
+        raise ConfigError(f"eval --set accepts only eval.* keys, got {outside[0]!r}")
     state, doc = load_checkpoint(args.checkpoint)
     doc = cfgmod.validate_config(cfgmod.apply_overrides(doc, args.set))
-    strat = cfgmod.build_strategy(doc)
-    data = cfgmod.build_data(doc)
-    fed = cfgmod.build_fed_config(doc)
-    calib = make_calibration_batch(data.base, fed.batch_size, RngStream(fed.seed))
-    metadata = {"seed": doc["seed"], "config_hash": config_hash(doc),
-                "rounds_completed": state.round_idx, "config": doc}
-    report = sweep(state, strat, cfgmod.build_bit_configs(doc), data.holdout,
-                   calib_batch=calib, metadata=metadata,
-                   exempt_first_last=doc["eval"]["exempt_first_last"])
+    report = _sweep(doc, state, cfgmod.build_fed_config(doc),
+                    cfgmod.build_strategy(doc), cfgmod.build_data(doc),
+                    cfgmod.build_bit_configs(doc))
     print(json.dumps(report.to_json_dict(), indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import copy
 import json
 import os
+from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,6 +28,27 @@ from .strategies import StrategyConfig
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "FEDQUANT_SEED"
+
+# dataclass fields whose JSON key differs from the field name
+_JSON_KEYS = {"lam": "lambda"}
+
+
+def _fields_schema(cls, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """The JSON defaults and annotations of a dataclass's fields, in field
+    order; a tuple default is exposed as a list."""
+    hints = get_type_hints(cls)
+    defaults, kinds = {}, {}
+    for f in fields(cls):
+        if f.name not in skip:
+            key = _JSON_KEYS.get(f.name, f.name)
+            defaults[key] = list(f.default) if isinstance(f.default, tuple) \
+                else f.default
+            kinds[key] = hints[f.name]
+    return defaults, kinds
+
+
+_FED_DEFAULTS, _FED_KINDS = _fields_schema(FedConfig, skip=("seed",))
+_STRATEGY_DEFAULTS, _STRATEGY_KINDS = _fields_schema(StrategyConfig)
 
 DEFAULTS: dict = {
     "schema_version": SCHEMA_VERSION,
@@ -41,30 +64,8 @@ DEFAULTS: dict = {
     "model": {
         "hidden": [64],
     },
-    "federation": {
-        "total_rounds": 100,
-        "num_clients": 100,
-        "clients_per_round": 10,
-        "eta_s": 1.0,
-        "eta_c": 0.05,
-        "local_steps": None,
-        "batch_size": 20,
-        "server_opt": "adam",
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.99,
-        "adam_eps": 1e-8,
-        "eval_every": 10,
-    },
-    "strategy": {
-        "kind": "baseline",
-        "lambda": 0.1,
-        "k_tau": 1.8,
-        "train_bits": None,
-        "bit_set": [],
-        "mqat_mode": "per_round",
-        "quantize_weights": True,
-        "quantize_acts": False,
-    },
+    "federation": _FED_DEFAULTS,
+    "strategy": _STRATEGY_DEFAULTS,
     "eval": {
         "weight_bits": [32, 8, 6, 4, 3, 2],
         "act_bits": [],
@@ -76,17 +77,21 @@ DEFAULTS: dict = {
     },
 }
 
-# keys that may hold null, with the type of their non-null values;
-# every other key must match its default's type
-_NULLABLE = {("data", "csv_path"): str, ("federation", "local_steps"): int,
-             ("strategy", "train_bits"): int}
+# annotations, by section, of the keys whose type is not their default's;
+# every other list in the schema holds integers
+_KINDS = {"data": {"csv_path": str | None}, "federation": _FED_KINDS,
+          "strategy": _STRATEGY_KINDS}
 
 
-def _type_ok(value, kind: type) -> bool:
-    """JSON-level type check: bool is not an int, an int is a valid float,
-    and every list in the schema holds integers."""
-    if kind is list:
-        return isinstance(value, list) and all(_type_ok(v, int) for v in value)
+def _type_ok(value, kind) -> bool:
+    """JSON-level check against an annotation: bool is not an int, a string
+    is not a number, an int is a valid float, a list or tuple is a JSON list
+    and ``X | None`` also admits null."""
+    args = get_args(kind)
+    if get_origin(kind) in (list, tuple):
+        return isinstance(value, list) and all(_type_ok(v, args[0]) for v in value)
+    if args:
+        return any(_type_ok(value, a) for a in args)
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
@@ -94,7 +99,14 @@ def _type_ok(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _check_section(defaults: dict, given: dict, trail: tuple[str, ...]) -> dict:
+def _check_value(where: str, value, kind) -> None:
+    if not _type_ok(value, kind):
+        name = kind.__name__ if isinstance(kind, type) else kind
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+
+
+def _check_section(defaults: dict, kinds: dict, given: dict,
+                   trail: tuple[str, ...]) -> dict:
     merged = {}
     for key, value in given.items():
         where = ".".join(trail + (key,))
@@ -104,15 +116,11 @@ def _check_section(defaults: dict, given: dict, trail: tuple[str, ...]) -> dict:
         if isinstance(base, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be a section")
-            merged[key] = _check_section(base, value, trail + (key,))
+            merged[key] = _check_section(base, kinds.get(key, {}), value,
+                                         trail + (key,))
             continue
-        nullable = _NULLABLE.get(trail + (key,))
-        if value is None and nullable is None:
-            raise ConfigError(f"{where} may not be null")
-        kind = nullable or type(base)
-        if value is not None and not _type_ok(value, kind):
-            expected = "a list of integers" if kind is list else kind.__name__
-            raise ConfigError(f"{where} must be {expected}, got {value!r}")
+        _check_value(where, value, kinds.get(
+            key, list[int] if isinstance(base, list) else type(base)))
         merged[key] = value
     for key, base in defaults.items():
         if key not in merged:
@@ -120,11 +128,25 @@ def _check_section(defaults: dict, given: dict, trail: tuple[str, ...]) -> dict:
     return merged
 
 
+def check_fields(cls, values: dict, what: str) -> None:
+    """Require exactly the fields of dataclass ``cls`` in a JSON object, each
+    of its annotation's JSON type (the rules of ``_type_ok``)."""
+    kinds = get_type_hints(cls)
+    unknown = [key for key in values if key not in kinds]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}")
+    missing = [key for key in kinds if key not in values]
+    if missing:
+        raise ConfigError(f"missing {what}s: {', '.join(missing)}")
+    for key, kind in kinds.items():
+        _check_value(key, values[key], kind)
+
+
 def validate_config(doc: dict) -> dict:
     """Merge a raw document over the defaults, rejecting unknown keys."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    merged = _check_section(DEFAULTS, doc, ())
+    merged = _check_section(DEFAULTS, _KINDS, doc, ())
     if merged["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {merged['schema_version']}")
     return merged
@@ -177,23 +199,13 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
 
 
 def build_fed_config(doc: dict) -> FedConfig:
-    f = doc["federation"]
-    return FedConfig(total_rounds=f["total_rounds"], num_clients=f["num_clients"],
-                     clients_per_round=f["clients_per_round"], eta_s=f["eta_s"],
-                     eta_c=f["eta_c"], local_steps=f["local_steps"],
-                     batch_size=f["batch_size"], server_opt=f["server_opt"],
-                     adam_beta1=f["adam_beta1"], adam_beta2=f["adam_beta2"],
-                     adam_eps=f["adam_eps"], seed=doc["seed"],
-                     eval_every=f["eval_every"])
+    return FedConfig(seed=doc["seed"], **doc["federation"])
 
 
 def build_strategy(doc: dict) -> StrategyConfig:
-    s = doc["strategy"]
-    return StrategyConfig(kind=s["kind"], lam=s["lambda"], k_tau=s["k_tau"],
-                          train_bits=s["train_bits"], bit_set=tuple(s["bit_set"]),
-                          mqat_mode=s["mqat_mode"],
-                          quantize_weights=s["quantize_weights"],
-                          quantize_acts=s["quantize_acts"])
+    s = dict(doc["strategy"])
+    s["lam"] = s.pop("lambda")
+    return StrategyConfig(**s)
 
 
 def _stride_split(ds: Dataset) -> tuple[Dataset, Dataset]:

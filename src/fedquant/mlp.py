@@ -87,9 +87,6 @@ class ParamSet:
             out.append((wt.copy(), bt))
         return ParamSet(out)
 
-    def zeros_like(self) -> "ParamSet":
-        return ParamSet([(np.zeros_like(w), np.zeros_like(b)) for w, b in self.layers])
-
     def add_scaled(self, other: "ParamSet", scale: float) -> None:
         """In-place self += scale * other (used for SGD steps and regularizers)."""
         for (w, b), (ow, ob) in zip(self.layers, other.layers):

@@ -8,8 +8,11 @@ import pytest
 
 from fedquant.cli import main
 from fedquant.config import (DEFAULTS, apply_overrides, build_bit_configs,
-                             load_config, validate_config)
+                             build_fed_config, build_strategy, load_config,
+                             validate_config)
 from fedquant.errors import ConfigError
+from fedquant.federation import FedConfig
+from fedquant.strategies import StrategyConfig
 from fedquant.theory import BoundInputs, compute_bound
 
 SMOKE = {
@@ -23,6 +26,9 @@ SMOKE = {
     "strategy": {"kind": "mqat", "bit_set": [2, 4, 32]},
     "eval": {"weight_bits": [32, 2]},
 }
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, doc=SMOKE, name="config.json"):
@@ -62,6 +68,19 @@ class TestConfigDocument:
         unseeded = {k: v for k, v in SMOKE.items() if k != "seed"}
         no_seed = load_config(write_config(tmp_path, unseeded, "no_seed.json"))
         assert no_seed["seed"] == 777
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        doc = validate_config({})
+        assert build_fed_config(doc) == FedConfig()
+        assert build_strategy(doc) == StrategyConfig()
+
+    def test_lambda_reaches_strategy_lam(self):
+        path = os.path.join(CONFIGS, "trend_kure.json")
+        with open(path, encoding="utf-8") as fh:
+            given = json.load(fh)["strategy"]["lambda"]
+        assert build_strategy(load_config(path)).lam == given
+        overridden = load_config(path, ["strategy.lambda=0.25"])
+        assert build_strategy(overridden).lam == 0.25
 
     def test_eval_section_builds_configs(self):
         doc = validate_config({"eval": {"weight_bits": [8], "act_bits": [4],
@@ -152,6 +171,25 @@ def _override(value):
     return build
 
 
+BOUND_INPUTS = {"L": 1.0, "sigma_l": 1.0, "sigma_g": 1.0, "D": 100, "K": 10,
+                "T": 1000, "eta_c": 0.01, "eta_s": 1.0, "method": "qat",
+                "steps": [0.12], "initial_gap": 1.0}
+
+
+def _bound_config(doc):
+    def build(tmp_path, checkpoint):
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(doc))
+        return ["bound", "--config", str(path)]
+    return build
+
+
+def _eval_override(item):
+    def build(tmp_path, checkpoint):
+        return ["eval", "--checkpoint", checkpoint, "--set", item]
+    return build
+
+
 MALFORMED_INPUTS = {
     "checkpoint-not-json": _not_json,
     "checkpoint-without-layers": _bad_checkpoint(lambda d: d.pop("layers")),
@@ -161,6 +199,13 @@ MALFORMED_INPUTS = {
         lambda d: d["config"].update(seed=d["config"]["seed"] + 1)),
     "override-str-as-int": _override('"abc"'),
     "override-bool-as-int": _override("true"),
+    "bound-str-as-float": _bound_config({**BOUND_INPUTS, "L": "abc"}),
+    "bound-bool-as-int": _bound_config({**BOUND_INPUTS, "D": True}),
+    "bound-float-as-int": _bound_config({**BOUND_INPUTS, "T": 2.5}),
+    "bound-str-as-steps": _bound_config({**BOUND_INPUTS, "steps": "x"}),
+    "bound-list-root": _bound_config([BOUND_INPUTS]),
+    "bound-unknown-key": _bound_config({**BOUND_INPUTS, "bogus": 1}),
+    "eval-set-outside-eval": _eval_override("data.class_separation=0.5"),
 }
 
 
@@ -212,16 +257,21 @@ class TestBoundCommand:
         assert "missing bound inputs" in capsys.readouterr().err
 
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):
-        doc = {"L": 1.0, "sigma_l": 1.0, "sigma_g": 1.0, "D": 100, "K": 10,
-               "T": 1000, "eta_c": 0.01, "eta_s": 1.0, "method": "qat",
-               "steps": [0.12], "initial_gap": 1.0}
         path = tmp_path / "bound.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(BOUND_INPUTS))
         assert main(["bound", "--config", str(path)]) == 0
         base = json.loads(capsys.readouterr().out)
         assert main(["bound", "--config", str(path), "--rounds", "100"]) == 0
         fewer_rounds = json.loads(capsys.readouterr().out)
         assert fewer_rounds["bound"] > base["bound"]
+
+    def test_config_file_takes_a_scalar_step(self, tmp_path, capsys):
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps({**BOUND_INPUTS, "steps": 0.12}))
+        assert main(["bound", "--config", str(path)]) == 0
+        scalar = json.loads(capsys.readouterr().out)
+        assert main(["bound", "--config", str(path), "--step", "0.12"]) == 0
+        assert scalar == json.loads(capsys.readouterr().out)
 
     def test_help_lists_units(self, capsys):
         with pytest.raises(SystemExit):
@@ -283,3 +333,9 @@ class TestEvalCommand:
                      "--out", eval_out]) == 0
         assert os.path.exists(os.path.join(eval_out, "eval.csv"))
         assert os.path.exists(os.path.join(eval_out, "eval.json"))
+
+    def test_set_overrides_eval_keys(self, tmp_path, capsys, smoke_checkpoint):
+        assert main(["eval", "--checkpoint", smoke_checkpoint,
+                     "--set", "eval.weight_bits=[2]"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["weight_bits"], r["act_bits"]) for r in rows] == [(2, None)]
