@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import sys
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -85,8 +86,9 @@ _KINDS = {"data": {"csv_path": str | None}, "federation": _FED_KINDS,
 
 def _type_ok(value, kind) -> bool:
     """JSON-level check against an annotation: bool is not an int, a string
-    is not a number, an int is a valid float, a list or tuple is a JSON list
-    and ``X | None`` also admits null."""
+    is not a number, an int is a valid float, a float must be finite (NaN,
+    infinities and ints beyond the float range are not), a list or tuple is
+    a JSON list and ``X | None`` also admits null."""
     args = get_args(kind)
     if get_origin(kind) in (list, tuple):
         return isinstance(value, list) and all(_type_ok(v, args[0]) for v in value)
@@ -95,7 +97,7 @@ def _type_ok(value, kind) -> bool:
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 

@@ -91,7 +91,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConfigError("alpha must be positive")
     if num_clients < 1:
         raise ConfigError("need at least one client")

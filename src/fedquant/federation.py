@@ -57,7 +57,7 @@ class FedConfig:
             raise ConfigError("total_rounds must be >= 1")
         if not (1 <= self.clients_per_round <= self.num_clients):
             raise ConfigError("need 1 <= clients_per_round <= num_clients")
-        if self.eta_s <= 0 or self.eta_c <= 0:
+        if not (self.eta_s > 0 and self.eta_c > 0):
             raise ConfigError("learning rates must be positive")
         if self.local_steps is not None and self.local_steps < 1:
             raise ConfigError("local_steps must be >= 1 when set")
@@ -65,8 +65,11 @@ class FedConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.server_opt not in ("sgd", "adam"):
             raise ConfigError(f"unknown server optimizer {self.server_opt!r}")
-        if self.server_opt == "adam" and self.adam_eps <= 0:
+        if self.server_opt == "adam" and not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
+        if self.server_opt == "adam" and not (0 <= self.adam_beta1 < 1
+                                              and 0 <= self.adam_beta2 < 1):
+            raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
 
@@ -228,7 +231,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
         batch_rng = root.child(Purpose.BATCH, t, client_id)
         task = ClientTask(
             client_id=client_id, round_idx=t, start_params=state.params,
-            step_tables=state.step_tables, local_steps=steps, eta_c=cfg.eta_c,
+            step_tables=state.step_tables, eta_c=cfg.eta_c,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
             rng=root.child(Purpose.NOISE, t, client_id))
         bit = resolve_bits(strat, t, client_id, root)

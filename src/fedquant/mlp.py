@@ -124,39 +124,22 @@ def init_params(widths: list[int], rng: RngStream) -> ParamSet:
 
 @dataclass
 class QuantPlan:
-    """What the forward pass does to weights and activations.
+    """What the forward pass does to each weight and each hidden activation.
 
-    mode 'none'  - plain forward (also used by the kurtosis-regularized
-                   strategy, whose extra term lives outside the network);
-    mode 'qat'   - weights snapped to ``weight_specs`` grids, STE backward;
-    mode 'apqn'  - weights perturbed by uniform noise of width ``noise_steps``.
-
-    ``act_specs`` (unsigned grids) quantize each post-ReLU activation;
-    ``act_noise_steps`` perturb them instead (the apqn analogue). The raw
-    network input is never touched.
+    ``weights`` has one entry per layer and ``acts`` one per post-ReLU
+    activation; an empty list leaves every tensor of its kind untouched. An
+    entry is ``None`` (untouched), a ``QuantSpec`` (snapped to its grid,
+    straight-through gradient) or a number (additive uniform noise of that
+    width, a constant to backward). The raw network input is never touched.
     """
 
-    mode: str = "none"
-    weight_specs: list[QuantSpec | None] | None = None
-    noise_steps: list[float | None] | None = None
-    act_specs: list[QuantSpec | None] | None = None
-    act_noise_steps: list[float | None] | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("none", "qat", "apqn"):
-            raise UsageError(f"unknown plan mode {self.mode!r}")
-        if self.mode == "qat" and self.weight_specs is None:
-            raise UsageError("qat plan needs weight specs")
-        if self.mode == "apqn" and self.noise_steps is None:
-            raise UsageError("apqn plan needs noise steps")
-        if self.act_specs is not None and self.act_noise_steps is not None:
-            raise UsageError("activation quantizer and noise are exclusive")
+    weights: list[QuantSpec | float | None] = field(default_factory=list)
+    acts: list[QuantSpec | float | None] = field(default_factory=list)
 
     @property
     def needs_rng(self) -> bool:
-        return (self.noise_steps is not None and any(s is not None for s in self.noise_steps)) \
-            or (self.act_noise_steps is not None
-                and any(s is not None for s in self.act_noise_steps))
+        return any(e is not None and not isinstance(e, QuantSpec)
+                   for e in self.weights + self.acts)
 
 
 PLAIN_PLAN = QuantPlan()
@@ -188,6 +171,24 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
     return loss, probs
 
 
+def _apply(x: np.ndarray, entries: list | None, i: int,
+           rng: RngStream | None = None) -> np.ndarray:
+    """``x`` under plan entry ``entries[i]`` (see ``QuantPlan``)."""
+    entry = entries[i] if entries else None
+    if entry is None:
+        return x
+    if isinstance(entry, QuantSpec):
+        return x if entry.identity else quantize(x, entry)
+    return pseudo_quantize(x, entry, rng)
+
+
+def _ste(grad: np.ndarray, x: np.ndarray, entries: list, i: int) -> np.ndarray:
+    """``grad`` masked by the straight-through rule where ``entries[i]``
+    snapped ``x`` to a grid; noise and untouched tensors pass it whole."""
+    entry = entries[i] if entries else None
+    return ste_backward(grad, x, entry) if isinstance(entry, QuantSpec) else grad
+
+
 def forward(params: ParamSet, batch: Batch, plan: QuantPlan = PLAIN_PLAN,
             rng: RngStream | None = None) -> tuple[float, ForwardCache]:
     """Mean softmax cross-entropy under the plan's weight/activation transforms."""
@@ -199,14 +200,7 @@ def forward(params: ParamSet, batch: Batch, plan: QuantPlan = PLAIN_PLAN,
     a = batch.inputs
     eff_weights, layer_inputs, pre_acts, relu_raw = [], [], [], []
     for l, (w, b) in enumerate(params.layers):
-        if plan.mode == "qat":
-            spec = plan.weight_specs[l]
-            w_eff = w if spec is None or spec.identity else quantize(w, spec)
-        elif plan.mode == "apqn":
-            step = plan.noise_steps[l]
-            w_eff = w if step is None else pseudo_quantize(w, step, rng)
-        else:
-            w_eff = w
+        w_eff = _apply(w, plan.weights, l, rng)
         layer_inputs.append(a)
         eff_weights.append(w_eff)
         h = matmul(a, w_eff) + b
@@ -214,14 +208,7 @@ def forward(params: ParamSet, batch: Batch, plan: QuantPlan = PLAIN_PLAN,
         if l < n_layers - 1:
             r = np.maximum(h, 0.0)
             relu_raw.append(r)
-            a = r
-            spec = plan.act_specs[l] if plan.act_specs is not None else None
-            if spec is not None and not spec.identity:
-                a = quantize(r, spec)
-            nstep = (plan.act_noise_steps[l]
-                     if plan.act_noise_steps is not None else None)
-            if nstep is not None:
-                a = pseudo_quantize(r, nstep, rng)
+            a = _apply(r, plan.acts, l, rng)
     loss, probs = _softmax_ce(pre_acts[-1], batch.labels)
     if not np.isfinite(loss):
         raise NumericError("forward produced a non-finite loss")
@@ -251,20 +238,13 @@ def backward(cache: ForwardCache,
     dh = dlogits / n
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        dw_eff = cache.layer_inputs[l].T @ dh
-        if plan.mode == "qat":
-            spec = plan.weight_specs[l]
-            dw = dw_eff if spec is None else ste_backward(dw_eff, cache.raw_weights[l], spec)
-        else:
-            # plain weights, or additive noise treated as a constant
-            dw = dw_eff
+        dw = _ste(cache.layer_inputs[l].T @ dh, cache.raw_weights[l],
+                  plan.weights, l)
         db = dh.sum(axis=0)
         grads[l] = (dw, db)
         if l > 0:
-            da = dh @ cache.eff_weights[l].T
-            spec = plan.act_specs[l - 1] if plan.act_specs is not None else None
-            if spec is not None and not spec.identity:
-                da = ste_backward(da, cache.relu_raw[l - 1], spec)
+            da = _ste(dh @ cache.eff_weights[l].T, cache.relu_raw[l - 1],
+                      plan.acts, l - 1)
             if extra_act_grads is not None and extra_act_grads[l - 1] is not None:
                 da = da + extra_act_grads[l - 1]
             dh = da * (cache.pre_acts[l - 1] > 0.0)
@@ -349,10 +329,7 @@ def predict_logits(params: ParamSet, inputs: np.ndarray,
     for l, (w, b) in enumerate(params.layers):
         h = matmul(a, w) + b
         if l < n_layers - 1:
-            a = np.maximum(h, 0.0)
-            spec = act_specs[l] if act_specs is not None else None
-            if spec is not None and not spec.identity:
-                a = quantize(a, spec)
+            a = _apply(np.maximum(h, 0.0), act_specs, l)
     return h
 
 
@@ -360,23 +337,3 @@ def mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     loss, _ = _softmax_ce(logits, np.asarray(labels, dtype=np.int64))
     return loss
 
-
-def check_gradients(params: ParamSet, loss_fn, analytic: ParamSet,
-                    step: float = 1e-5, floor: float = 1e-4) -> float:
-    """Max relative error of analytic gradients vs central finite differences.
-
-    ``loss_fn`` maps a ParamSet to a scalar loss and must be deterministic.
-    The denominator is floored so near-zero components are compared at an
-    absolute tolerance of floor * rel instead of blowing up the ratio.
-    """
-    flat = params.flatten()
-    ana = analytic.flatten()
-    num = np.empty_like(ana)
-    for j in range(flat.size):
-        bumped = flat.copy(); bumped[j] = flat[j] + step
-        up = loss_fn(params.unflatten(bumped))
-        bumped[j] = flat[j] - step
-        down = loss_fn(params.unflatten(bumped))
-        num[j] = (up - down) / (2.0 * step)
-    denom = np.maximum(np.abs(ana) + np.abs(num), floor)
-    return float(np.max(np.abs(ana - num) / denom))

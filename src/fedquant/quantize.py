@@ -214,10 +214,3 @@ class StepTable:
             return IDENTITY_SPEC
         return spec_from_step(self.step_for(bits), bits, signed)
 
-    def is_consistent(self, rel_tol: float = 1e-12) -> bool:
-        """True when every pair satisfies step_a*(2^a-1) == step_b*(2^b-1)."""
-        spans = [s * (2 ** b - 1) for b, s in sorted(self.steps.items())]
-        if len(spans) < 2:
-            return True
-        ref = spans[0]
-        return all(abs(s - ref) <= rel_tol * abs(ref) for s in spans[1:])

@@ -121,7 +121,7 @@ class RngStream:
 
     def gamma(self, alpha: float, size: int = 1) -> np.ndarray:
         """Gamma(alpha, 1) samples (Marsaglia-Tsang, boosted for alpha < 1)."""
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("alpha must be positive")
         if alpha < 1.0:
             boosted = self.gamma(alpha + 1.0, size)

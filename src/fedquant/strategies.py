@@ -101,16 +101,17 @@ class ClientTask:
     round_idx: int
     start_params: ParamSet
     step_tables: StepTables | None
-    local_steps: int
     eta_c: float
     batches: list[Batch]
     rng: RngStream
 
     def __post_init__(self):
-        if self.local_steps < 1 or self.eta_c <= 0:
-            raise ConfigError("need local_steps >= 1 and eta_c > 0")
-        if len(self.batches) != self.local_steps:
-            raise ConfigError("one batch per local step required")
+        if self.local_steps < 1 or not self.eta_c > 0:
+            raise ConfigError("need at least one batch and eta_c > 0")
+
+    @property
+    def local_steps(self) -> int:
+        return len(self.batches)
 
 
 @dataclass
@@ -186,31 +187,21 @@ def calibrate_steps(params: ParamSet, bits: tuple[int, ...],
 
 def build_plan(strat: StrategyConfig, tables: StepTables | None,
                bits: int | None) -> QuantPlan:
-    """Materialize the forward-pass plan for one client round."""
-    if strat.kind in ("baseline", "kure"):
-        return QuantPlan()
-    if tables is None:
+    """Materialize the forward-pass plan for one client round: noise one
+    step wide for apqn, the step's grid for qat and mqat, and the plain plan
+    for the other strategies and for 32-bit rounds."""
+    if strat.quantizing and tables is None:
         raise ConfigError(f"{strat.kind} needs calibrated step tables")
-    if bits == IDENTITY_BITS:
-        # 32-bit round: everything passes through untouched
-        if strat.kind == "apqn":
-            return QuantPlan(mode="apqn",
-                             noise_steps=[None] * len(tables.weights))
-        return QuantPlan(mode="qat",
-                         weight_specs=[None] * len(tables.weights))
+    if not strat.quantizing or bits == IDENTITY_BITS:
+        return QuantPlan()
     if strat.kind == "apqn":
-        w_steps = [t.step_for(bits) if strat.quantize_weights else None
-                   for t in tables.weights]
-        a_steps = None
-        if strat.quantize_acts:
-            a_steps = [t.step_for(bits) for t in (tables.acts or [])]
-        return QuantPlan(mode="apqn", noise_steps=w_steps, act_noise_steps=a_steps)
-    w_specs = [t.spec_for(bits, signed=True) if strat.quantize_weights else None
-               for t in tables.weights]
-    a_specs = None
-    if strat.quantize_acts:
-        a_specs = [t.spec_for(bits, signed=False) for t in (tables.acts or [])]
-    return QuantPlan(mode="qat", weight_specs=w_specs, act_specs=a_specs)
+        weights = [t.step_for(bits) for t in tables.weights]
+        acts = [t.step_for(bits) for t in tables.acts or []]
+    else:
+        weights = [t.spec_for(bits, signed=True) for t in tables.weights]
+        acts = [t.spec_for(bits, signed=False) for t in tables.acts or []]
+    return QuantPlan(weights=weights if strat.quantize_weights else [],
+                     acts=acts if strat.quantize_acts else [])
 
 
 def local_train(task: ClientTask, strat: StrategyConfig,

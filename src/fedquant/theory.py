@@ -62,13 +62,13 @@ class BoundInputs:
         self.steps = tuple(float(s) for s in self.steps)
         if self.method not in BOUND_METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if min(self.L, self.eta_c, self.eta_s) <= 0:
+        if not (self.L > 0 and self.eta_c > 0 and self.eta_s > 0):
             raise ConfigError("L and learning rates must be positive")
-        if self.sigma_l < 0 or self.sigma_g < 0 or self.initial_gap < 0:
+        if not (self.sigma_l >= 0 and self.sigma_g >= 0 and self.initial_gap >= 0):
             raise ConfigError("variances and the initial gap must be >= 0")
         if self.D < 1 or self.K < 1 or self.T < 1:
             raise ConfigError("D, K and T must be >= 1")
-        if not self.steps or any(s <= 0 for s in self.steps):
+        if not self.steps or not all(s > 0 for s in self.steps):
             raise ConfigError("need at least one positive step size")
 
 

@@ -26,15 +26,16 @@ from fedquant.cli import main as cli_main
 from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
 from fedquant.evaluation import BitConfig, quantize_for_eval, sweep
 from fedquant.federation import FedConfig, make_calibration_batch, run
-from fedquant.mlp import (Batch, ParamSet, QuantPlan, backward, check_gradients,
-                          forward, init_params, kure_gradient, kure_loss,
-                          kurtosis, predict_logits)
+from fedquant.mlp import (Batch, ParamSet, QuantPlan, backward, forward,
+                          init_params, kure_gradient, kure_loss, kurtosis,
+                          predict_logits)
 from fedquant.quantize import (StepTable, make_spec, pseudo_quantize,
                                quantize, rescale_step, round_half_away)
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import StrategyConfig, calibrate_steps
 from fedquant.theory import (BoundInputs, check_conditions, compute_bound,
                              empirical_bound_check, empirical_noise_bound)
+from helpers import check_gradients, steps_consistent
 
 
 def report(criterion, ok, detail):
@@ -137,7 +138,7 @@ def test_criterion_3_gradient_correctness():
         params, lambda p: forward(p, batch)[0] + lam * kure_loss(p, 1.8),
         kure_grads)
 
-    plan = QuantPlan(mode="apqn", noise_steps=[0.2] * params.num_layers)
+    plan = QuantPlan(weights=[0.2] * params.num_layers)
 
     def apqn_loss(p):
         return forward(p, batch, plan, rng=RngStream(33, (1,)))[0]
@@ -147,7 +148,7 @@ def test_criterion_3_gradient_correctness():
     err_apqn = check_gradients(params, apqn_loss, apqn_grads)
 
     specs = [make_spec(float(np.max(np.abs(w))), 2) for w, _ in params.layers]
-    qat_loss, _ = forward(params, batch, QuantPlan(mode="qat", weight_specs=specs))
+    qat_loss, _ = forward(params, batch, QuantPlan(weights=specs))
     snapped = ParamSet([(quantize(w, s), b.copy())
                         for (w, b), s in zip(params.layers, specs)])
     plain_loss, _ = forward(snapped, batch)
@@ -237,10 +238,10 @@ def test_criterion_6_rescale_identities():
     table = StepTable({8: 0.013})
     for b in (2, 3, 4, 6):
         table.steps[b] = rescale_step(0.013, 8, b)
-    consistent = table.is_consistent(rel_tol=1e-12)
+    consistent = steps_consistent(table, rel_tol=1e-12)
     params = init_params([6, 12, 4], RngStream(61))
     tables = calibrate_steps(params, (2, 3, 4, 6, 8), None, quantize_acts=False)
-    calibrated_ok = all(t.is_consistent(rel_tol=1e-12) for t in tables.weights)
+    calibrated_ok = all(steps_consistent(t, rel_tol=1e-12) for t in tables.weights)
     ok = exact and consistent and calibrated_ok
     report("6 rescale-identities", ok,
            f"exact={exact}, table_consistent={consistent}, "

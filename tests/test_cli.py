@@ -163,11 +163,13 @@ def _not_json(tmp_path, checkpoint):
     return ["eval", "--checkpoint", str(path)]
 
 
-def _override(value):
+def _override(*items):
     def build(tmp_path, checkpoint):
-        return ["run", "--config", write_config(tmp_path), "--quiet",
-                "--out", str(tmp_path / "out"),
-                "--set", f"federation.total_rounds={value}"]
+        argv = ["run", "--config", write_config(tmp_path), "--quiet",
+                "--out", str(tmp_path / "out")]
+        for item in items:
+            argv += ["--set", item]
+        return argv
     return build
 
 
@@ -184,6 +186,14 @@ def _bound_config(doc):
     return build
 
 
+def _bound_flags(*flags):
+    def build(tmp_path, checkpoint):
+        return ["bound", *TestBoundCommand.FLAGS, "--eta-client", "0.01",
+                "--method", "qat", "--step", "0.12", "--initial-gap", "1",
+                *flags]
+    return build
+
+
 def _eval_override(item):
     def build(tmp_path, checkpoint):
         return ["eval", "--checkpoint", checkpoint, "--set", item]
@@ -197,8 +207,21 @@ MALFORMED_INPUTS = {
         lambda d: d["layers"].__setitem__(0, {"weight": "abc"})),
     "checkpoint-stale-config-hash": _bad_checkpoint(
         lambda d: d["config"].update(seed=d["config"]["seed"] + 1)),
-    "override-str-as-int": _override('"abc"'),
-    "override-bool-as-int": _override("true"),
+    "override-str-as-int": _override('federation.total_rounds="abc"'),
+    "override-bool-as-int": _override("federation.total_rounds=true"),
+    "override-nan-eta-c": _override("federation.eta_c=NaN"),
+    "override-infinite-eta-c": _override("federation.eta_c=Infinity"),
+    "override-int-beyond-float-eta-c": _override("federation.eta_c=1" + "0" * 400),
+    "override-nan-eta-s": _override("federation.eta_s=NaN"),
+    "override-nan-class-separation": _override("data.class_separation=NaN"),
+    "override-nan-alpha": _override("data.alpha=NaN"),
+    "override-nan-k-tau": _override('strategy.kind="kure"', "strategy.k_tau=NaN"),
+    "override-adam-beta1-one": _override('federation.server_opt="adam"',
+                                         "federation.adam_beta1=1.0"),
+    "override-adam-beta2-two": _override('federation.server_opt="adam"',
+                                         "federation.adam_beta2=2.0"),
+    "bound-nan-smoothness": _bound_flags("--smoothness", "nan"),
+    "bound-nan-in-config": _bound_config({**BOUND_INPUTS, "eta_s": math.nan}),
     "bound-str-as-float": _bound_config({**BOUND_INPUTS, "L": "abc"}),
     "bound-bool-as-int": _bound_config({**BOUND_INPUTS, "D": True}),
     "bound-float-as-int": _bound_config({**BOUND_INPUTS, "T": 2.5}),

@@ -119,6 +119,10 @@ class TestDirichletPartition:
         with pytest.raises(ConfigError):
             dirichlet_partition(self.labels(100), 4, 0.0, RngStream(0))
 
+    def test_nan_alpha(self):
+        with pytest.raises(ConfigError):
+            dirichlet_partition(self.labels(100), 4, float("nan"), RngStream(0))
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):

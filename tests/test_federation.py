@@ -54,6 +54,15 @@ class TestSampleClients:
             sample_clients(5, 6, RngStream(0))
 
 
+@pytest.mark.parametrize("bad", [{"eta_c": float("nan")}, {"eta_s": float("nan")},
+                                 {"server_opt": "adam", "adam_eps": float("nan")},
+                                 {"server_opt": "adam", "adam_beta1": 1.0},
+                                 {"server_opt": "adam", "adam_beta2": -0.1}])
+def test_fed_config_rejects_nan_and_out_of_range_betas(bad):
+    with pytest.raises(ConfigError):
+        FedConfig(**bad)
+
+
 class TestAggregate:
     def test_single_update_is_identity(self):
         d = np.array([1.0, -2.0, 3.0])

@@ -7,10 +7,11 @@ import pytest
 
 from fedquant.errors import DegenerateTensorError, ShapeError, UsageError
 from fedquant.mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
-                          check_gradients, forward, init_params, kure_gradient,
-                          kure_loss, kurtosis, kurtosis_gradient, predict_logits)
+                          forward, init_params, kure_gradient, kure_loss,
+                          kurtosis, kurtosis_gradient, predict_logits)
 from fedquant.quantize import make_spec, quantize, spec_from_step
 from fedquant.rng import RngStream
+from helpers import check_gradients
 
 
 def small_net(widths, seed=0):
@@ -58,8 +59,7 @@ class TestForward:
         params = small_net([5, 9, 4])
         batch = random_batch(16, 5, 4)
         plain, _ = forward(params, batch)
-        plan = QuantPlan(mode="qat",
-                         weight_specs=[make_spec(1.0, 32)] * params.num_layers)
+        plan = QuantPlan(weights=[make_spec(1.0, 32)] * params.num_layers)
         quantized, _ = forward(params, batch, plan)
         assert plain == quantized
 
@@ -67,7 +67,7 @@ class TestForward:
         params = small_net([5, 9, 4], seed=3)
         batch = random_batch(16, 5, 4)
         specs = [make_spec(float(np.max(np.abs(w))), 2) for w, _ in params.layers]
-        plan = QuantPlan(mode="qat", weight_specs=specs)
+        plan = QuantPlan(weights=specs)
         qat_loss, _ = forward(params, batch, plan)
         snapped = ParamSet([(quantize(w, s), b.copy())
                             for (w, b), s in zip(params.layers, specs)])
@@ -101,7 +101,7 @@ class TestGradients:
     def test_apqn_frozen_noise_matches_fd(self):
         params = small_net([6, 10, 3], seed=21)
         batch = random_batch(16, 6, 3, seed=22)
-        plan = QuantPlan(mode="apqn", noise_steps=[0.3] * params.num_layers)
+        plan = QuantPlan(weights=[0.3] * params.num_layers)
 
         def loss_fn(p):
             # re-deriving the stream freezes the sampled noise across calls
@@ -120,7 +120,7 @@ class TestGradients:
             w[:] = (k + 0.3) * step
         specs = [spec_from_step(step, 4) for _ in params.layers]
         batch = random_batch(16, 5, 3, seed=32)
-        plan = QuantPlan(mode="qat", weight_specs=specs)
+        plan = QuantPlan(weights=specs)
         _, cache = forward(params, batch, plan)
         got = backward(cache)
         snapped = ParamSet([(quantize(w, s), b.copy())
@@ -133,7 +133,7 @@ class TestGradients:
         params = small_net([5, 12, 3], seed=41)
         batch = random_batch(16, 5, 3, seed=42)
         act_spec = make_spec(8.0, 8, signed=False)
-        plan = QuantPlan(act_specs=[act_spec])
+        plan = QuantPlan(acts=[act_spec])
         _, cache = forward(params, batch, plan)
         grads = backward(cache)
         # the quantizer is piecewise constant, so FD at 1e-5 sees a flat or

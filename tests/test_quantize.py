@@ -9,6 +9,7 @@ from fedquant.quantize import (IDENTITY_BITS, QuantSpec, StepTable,
                                quantize, rescale_step, round_half_away,
                                spec_from_step, ste_backward, ste_mask)
 from fedquant.rng import RngStream
+from helpers import steps_consistent
 
 REAL_BITS = (2, 3, 4, 6, 8)
 
@@ -164,7 +165,7 @@ class TestRescale:
         table = StepTable({2: base})
         for b in (3, 4, 6, 8):
             table.steps[b] = rescale_step(base, 2, b)
-        assert table.is_consistent()
+        assert steps_consistent(table)
 
     def test_step_table_derives_missing_bits(self):
         table = StepTable({4: 0.2})

@@ -71,6 +71,11 @@ class TestDistributions:
         with pytest.raises(ValueError):
             RngStream(0).integers(0)
 
+    def test_gamma_rejects_nan_alpha(self):
+        # NaN fails every acceptance test of the rejection loop
+        with pytest.raises(ValueError):
+            RngStream(0).gamma(float("nan"), 4)
+
     def test_permutation_is_a_permutation(self):
         p = RngStream(4).permutation(257)
         assert np.array_equal(np.sort(p), np.arange(257))

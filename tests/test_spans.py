@@ -1,0 +1,71 @@
+"""The benchmark's span hooks resolve against the package as it stands.
+
+``perfbench/spans.py`` rebinds fedquant functions at the names their callers
+look them up by, so a rename or a moved call there breaks ``run.py --trace 1``.
+The module is loaded from its file, unchanged.
+"""
+
+import importlib.util
+import json
+import os
+
+from fedquant.cli import main
+
+SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "spans.py")
+
+ROUNDS, PER_ROUND = 2, 2
+TRACED = {
+    "seed": 3,
+    "data": {"num_classes": 3, "dim": 6, "samples_per_class": 20},
+    "model": {"hidden": [8]},
+    "federation": {"total_rounds": ROUNDS, "num_clients": 4,
+                   "clients_per_round": PER_ROUND, "batch_size": 8},
+    "strategy": {"kind": "mqat", "bit_set": [2, 4]},
+    "eval": {"weight_bits": [32, 2]},
+}
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+
+
+def test_every_span_target_and_clock_hook_resolves():
+    seen = []
+
+    def check(where):
+        def make(original):
+            assert callable(original), where
+            seen.append(where)
+            return original
+        return make
+
+    targets = [(m, p) for m, p, _ in spans.SPAN_TARGETS]
+    targets += [(m, p) for m, p, _ in spans.RoundClock().hooks()]
+    with spans.patched([(m, p, check(f"{m}.{p}")) for m, p in targets]):
+        pass
+    assert len(seen) == len(targets)
+
+
+def test_traced_run_sees_every_client_task(tmp_path):
+    """The tracer reads ``client_id`` and ``local_steps`` off each task."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TRACED))
+    clock, tracer = spans.RoundClock(), spans.Tracer()
+    with spans.patched(clock.hooks() + tracer.hooks(clock)):
+        assert main(["run", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "out")]) == 0
+    records = tracer.take()
+    tasks = [r for r in records if r[spans.NAME] == "strategies.local_train"]
+    assert len(tasks) == ROUNDS * PER_ROUND
+    assert all(r[spans.CLIENT] in range(4) and r[spans.AUX] >= 1 for r in tasks)
+    names = {r[spans.NAME] for r in records}
+    assert {"mlp.forward", "mlp.backward", "quantize.fake_quant", "quantize.ste",
+            "tensors.matmul", "mlp.predict_logits"} <= names
+    assert len(clock.round_seconds()) == ROUNDS

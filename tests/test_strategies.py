@@ -9,6 +9,7 @@ from fedquant.quantize import quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import (ClientTask, StrategyConfig, calibrate_steps,
                                  local_train, resolve_bits, sample_bitwidth)
+from helpers import steps_consistent
 
 
 def make_net(seed=0, widths=(6, 10, 4)):
@@ -23,7 +24,7 @@ def make_batches(count, n=12, d=6, classes=4, seed=1):
 
 def make_task(params, batches, tables=None, eta=0.1, client=3, round_idx=2):
     return ClientTask(client_id=client, round_idx=round_idx, start_params=params,
-                      step_tables=tables, local_steps=len(batches), eta_c=eta,
+                      step_tables=tables, eta_c=eta,
                       batches=batches, rng=RngStream(0, (Purpose.NOISE, round_idx, client)))
 
 
@@ -91,7 +92,7 @@ class TestCalibration:
         tables = calibrate_steps(params, (2, 3, 4, 6, 8), None, quantize_acts=False)
         for t in tables.weights:
             assert set(t.steps) == {2, 3, 4, 6, 8}
-            assert t.is_consistent()
+            assert steps_consistent(t)
             assert t.steps[4] == rescale_step(t.steps[2], 2, 4)
 
     def test_recalibration_is_deterministic(self):
@@ -147,6 +148,9 @@ class TestLocalTrain:
         assert np.linalg.norm(update.delta) <= 0.1 * norm_sum + 1e-12
 
     def test_qat_at_32_bits_reduces_to_baseline(self):
+        """A 32-bit round of any quantizing strategy trains the plain
+        network: qat, apqn on weights and activations, and mqat at a drawn
+        32."""
         params = make_net(seed=17)
         batches = make_batches(2, seed=18)
         tables = calibrate_steps(params, (32,), None, quantize_acts=False)
@@ -154,6 +158,16 @@ class TestLocalTrain:
         qat = local_train(make_task(params, batches, tables=tables),
                           StrategyConfig(kind="qat", train_bits=32))
         assert np.array_equal(base.delta, qat.delta)
+        act_tables = calibrate_steps(params, (32,), batches[0], quantize_acts=True)
+        apqn = local_train(make_task(params, batches, tables=act_tables),
+                           StrategyConfig(kind="apqn", train_bits=32,
+                                          quantize_acts=True))
+        assert np.array_equal(base.delta, apqn.delta)
+        mixed = calibrate_steps(params, (2, 32), batches[0], quantize_acts=True)
+        mqat = local_train(make_task(params, batches, tables=mixed),
+                           StrategyConfig(kind="mqat", bit_set=(2, 32),
+                                          quantize_acts=True), sampled_bit=32)
+        assert np.array_equal(base.delta, mqat.delta)
 
     def test_kure_lambda_zero_reduces_to_baseline(self):
         params = make_net(seed=19)

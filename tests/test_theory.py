@@ -62,6 +62,14 @@ class TestRValue:
             assert r_value("qat", (step,)) > r_value("apqn", (step,))
 
 
+@pytest.mark.parametrize("key", ["L", "eta_c", "eta_s", "sigma_l", "sigma_g",
+                                 "initial_gap", "steps"])
+def test_bound_inputs_reject_nan(key):
+    nan = float("nan")
+    with pytest.raises(ConfigError):
+        BoundInputs(**{**REFERENCE, key: (nan,) if key == "steps" else nan})
+
+
 class TestConditions:
     def test_reference_rates_pass(self):
         assert check_conditions(0.01, 1.0, 10, 1.0)
