@@ -23,8 +23,8 @@ from . import config as cfgmod
 from .data import partition_stats
 from .errors import ConfigError, DivergedError, FedQuantError
 from .evaluation import sweep
-from .federation import (config_hash, load_checkpoint, make_calibration_batch,
-                         run, save_checkpoint)
+from .federation import (POOL_MIN_PARAMS, config_hash, load_checkpoint,
+                         make_calibration_batch, run, save_checkpoint)
 from .rng import RngStream
 from .theory import BoundInputs, compute_bound
 
@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a config entry (dotted path, JSON value); repeatable")
     p_run.add_argument("--out", default=None, help="output directory (default: config output.dir)")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="client worker threads; must not change results")
+                       help="upper bound on client worker threads, used only "
+                            f"for models of at least {POOL_MIN_PARAMS} "
+                            "parameters (POOL_MIN_PARAMS); never changes results")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     p_bound = sub.add_parser("bound", help="evaluate the convergence bound, print JSON")

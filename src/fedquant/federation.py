@@ -19,15 +19,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, FederatedDataset
-from .errors import AggregationError, ConfigError, DivergedError
+from .errors import AggregationError, ConfigError, DivergedError, ShapeError
 from .mlp import Batch, ParamSet, init_params, mean_cross_entropy, predict_logits
-from .quantize import StepTable
+from .quantize import IDENTITY_BITS, SUPPORTED_BITS, StepTable
 from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
                          calibrate_steps, local_train, resolve_bits)
 
 CHECKPOINT_MAGIC = "fedquant.checkpoint"
 CHECKPOINT_VERSION = 1
+
+# Smallest model (parameter count) whose clients train on a thread pool. A
+# small model's client step holds the GIL for most of its time, so pooled
+# threads only take turns at it. ms/round, serial / 2 threads, of 20-round
+# runs on the wide-apqn data (10 of 100 clients, 4 steps of 50 samples), on
+# a 2-core machine with single-threaded BLAS; median of 5 alternating pairs
+# (3 for the two smallest models):
+#   params (MLP)            mqat            apqn
+#    2,762 (32-64-10)      13.7 / 30.3     21.5 / 36.7
+#   22,026 (32-128-128-10) 42.1 / 49.6     54.2 / 67.7
+#   32,650 (32-160-160-10) 55.8 / 50.8     54.4 / 66.8
+#   45,322 (32-192-192-10) 68.6 / 59.8     78.7 / 69.4
+#   60,042 (32-224-224-10) 92.2 / 65.6     89.6 / 80.1
+#   76,810 (32-256-256-10) 102.7 / 80.1    115.1 / 91.4
+# With the trend data's 2 steps of 20 samples, serial wins at every size up
+# to 76,810 (apqn 51.8 / 60.7).
+POOL_MIN_PARAMS = 50_000
 
 
 @dataclass
@@ -252,13 +269,16 @@ def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
     """Execute the full round loop; deterministic for a given cfg.seed.
 
     ``progress`` is an optional callback(round_idx, HistoryRow) fired at each
-    evaluation round. Client work runs on a thread pool when threads > 1; the
-    result is independent of the thread count by construction.
+    evaluation round. ``threads`` bounds the client thread pool, which runs
+    only for models of at least ``POOL_MIN_PARAMS`` parameters; the result is
+    independent of the thread count by construction.
     """
     state = init_state(cfg, strat, data, hidden)
     root = RngStream(cfg.seed)
     history = TrainingHistory()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = None
+    if threads > 1 and state.params.dim >= POOL_MIN_PARAMS:
+        pool = ThreadPoolExecutor(max_workers=threads)
     try:
         for t in range(cfg.total_rounds):
             state, updates = step_round(state, cfg, strat, data, root, pool)
@@ -324,6 +344,39 @@ def save_checkpoint(path: str, state: ServerState, config: dict) -> None:
         fh.write("\n")
 
 
+def _check_restored(state: ServerState, doc: dict) -> None:
+    """Raise ConfigError unless ``state`` is one ``save_checkpoint`` could
+    have written: a non-negative integer round, ``widths`` matching the
+    layers, finite values, Adam vectors of length ``dim`` and one step table
+    per weight tensor (and per hidden activation, if any)."""
+    if type(doc["round"]) is not int or doc["round"] < 0:
+        raise ConfigError(f"round must be a non-negative integer, got {doc['round']!r}")
+    params = state.params
+    if doc["widths"] != params.widths:
+        raise ConfigError(f"widths {doc['widths']!r} do not match the layers "
+                          f"({params.widths})")
+    if not np.all(np.isfinite(params.flatten())):
+        raise ConfigError("layers hold non-finite values")
+    if (state.adam_m is None) != (state.adam_v is None):
+        raise ConfigError("adam_m and adam_v must both be present or both null")
+    for name, vec in (("adam_m", state.adam_m), ("adam_v", state.adam_v)):
+        if vec is not None and (vec.shape != (params.dim,)
+                                or not np.all(np.isfinite(vec))):
+            raise ConfigError(f"{name} must be {params.dim} finite numbers")
+    tables = state.step_tables
+    if tables is None:
+        return
+    if len(tables.weights) != params.num_layers or (
+            tables.acts is not None and len(tables.acts) != params.num_layers - 1):
+        raise ConfigError("step_tables need one weight table per layer and one "
+                          "activation table per hidden layer")
+    for table in tables.weights + (tables.acts or []):
+        for bits, step in table.steps.items():
+            if bits not in SUPPORTED_BITS or bits == IDENTITY_BITS \
+                    or not (step > 0 and math.isfinite(step)):
+                raise ConfigError(f"step table entry {bits}: {step!r} is invalid")
+
+
 def load_checkpoint(path: str) -> tuple[ServerState, dict]:
     """Read a checkpoint written by ``save_checkpoint``; any malformed or
     tampered file raises ConfigError."""
@@ -336,21 +389,28 @@ def load_checkpoint(path: str) -> tuple[ServerState, dict]:
         raise ConfigError(f"{path} is not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')}")
-    missing = [k for k in ("round", "config_hash", "config", "layers", "adam_m",
-                           "adam_v", "step_tables") if k not in doc]
+    missing = [k for k in ("round", "config_hash", "config", "widths", "layers",
+                           "adam_m", "adam_v", "step_tables") if k not in doc]
     if missing:
         raise ConfigError(f"checkpoint {path} lacks {', '.join(missing)}")
     if config_hash(doc["config"]) != doc["config_hash"]:
         raise ConfigError(f"checkpoint {path}: config does not match its config_hash")
+    if not doc["layers"]:
+        raise ConfigError(f"checkpoint {path} has no layers")
     try:
         layers = [(np.asarray(l["weight"], dtype=np.float64),
                    np.asarray(l["bias"], dtype=np.float64)) for l in doc["layers"]]
         state = ServerState(
             round_idx=int(doc["round"]),
             params=ParamSet(layers),
-            adam_m=None if doc["adam_m"] is None else np.asarray(doc["adam_m"]),
-            adam_v=None if doc["adam_v"] is None else np.asarray(doc["adam_v"]),
+            adam_m=None if doc["adam_m"] is None else
+                   np.asarray(doc["adam_m"], dtype=np.float64),
+            adam_v=None if doc["adam_v"] is None else
+                   np.asarray(doc["adam_v"], dtype=np.float64),
             step_tables=_tables_from_json(doc["step_tables"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        _check_restored(state, doc)
+    except (KeyError, TypeError, ValueError, AttributeError, ShapeError) as exc:
         raise ConfigError(f"checkpoint {path} is malformed: {exc!r}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
     return state, doc["config"]

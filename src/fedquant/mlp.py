@@ -284,21 +284,42 @@ def kurtosis_gradient(w: np.ndarray) -> np.ndarray:
     return grad.reshape(w.shape)
 
 
+def _kurtosis_with_gradient(t: np.ndarray) -> tuple[float, np.ndarray]:
+    """``kurtosis(t)`` and ``kurtosis_gradient(t)``, bit for bit, from one
+    pass that computes c, c^3 and c^4 once."""
+    flat = np.asarray(t, dtype=np.float64).ravel()
+    n = flat.size
+    if n < 2:
+        raise DegenerateTensorError("kurtosis needs at least 2 elements")
+    c = flat - flat.mean()
+    var = np.mean(c * c)
+    if var <= 0.0:
+        raise DegenerateTensorError("kurtosis undefined for a constant tensor")
+    c3 = c ** 3
+    k = np.mean(c ** 4) / var ** 2
+    grad = (4.0 / (n * var ** 2)) * (c3 - np.mean(c3) - k * var * c)
+    return float(k), grad.reshape(np.shape(t))
+
+
+def kure_terms(params: ParamSet, k_tau: float) -> tuple[float, ParamSet]:
+    """``kure_loss`` and ``kure_gradient`` from one pass over the weights."""
+    m = len(params.layers)
+    penalties, grads = [], []
+    for w, b in params.layers:
+        k, dk = _kurtosis_with_gradient(w)
+        penalties.append((k - k_tau) ** 2)
+        grads.append(((2.0 * (k - k_tau) / m) * dk, np.zeros_like(b)))
+    return float(np.mean(penalties)), ParamSet(grads)
+
+
 def kure_loss(params: ParamSet, k_tau: float) -> float:
     """Mean over weight tensors of |kurtosis(W) - k_tau|^2 (biases excluded)."""
-    ws = params.weights()
-    return float(np.mean([(kurtosis(w) - k_tau) ** 2 for w in ws]))
+    return kure_terms(params, k_tau)[0]
 
 
 def kure_gradient(params: ParamSet, k_tau: float) -> ParamSet:
     """Analytic gradient of kure_loss; bias slots are zero."""
-    m = len(params.layers)
-    grads = []
-    for w, b in params.layers:
-        gk = kurtosis_gradient(w)
-        coeff = 2.0 * (kurtosis(w) - k_tau) / m
-        grads.append((coeff * gk, np.zeros_like(b)))
-    return ParamSet(grads)
+    return kure_terms(params, k_tau)[1]
 
 
 def act_kure_terms(cache: ForwardCache, k_tau: float
@@ -315,9 +336,9 @@ def act_kure_terms(cache: ForwardCache, k_tau: float
     loss = 0.0
     grads = []
     for r in cache.relu_raw:
-        k = kurtosis(r)
+        k, dk = _kurtosis_with_gradient(r)
         loss += (k - k_tau) ** 2 / m
-        grads.append((2.0 * (k - k_tau) / m) * kurtosis_gradient(r))
+        grads.append((2.0 * (k - k_tau) / m) * dk)
     return loss, grads
 
 

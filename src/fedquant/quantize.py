@@ -171,7 +171,10 @@ def pseudo_quantize(w: np.ndarray, step: float, rng: RngStream) -> np.ndarray:
         raise ConfigError(f"noise step must be positive, got {step}")
     w = np.asarray(w, dtype=np.float64)
     u = rng.uniform(w.shape)
-    return w + step * (u - 0.5)
+    u -= 0.5
+    u *= step
+    u += w
+    return u
 
 
 def ste_mask(w: np.ndarray, spec: QuantSpec) -> np.ndarray:

@@ -52,11 +52,14 @@ def _derive_key(root_seed: int, path: tuple[int, ...]) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(_MIX1)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    # splitmix64 output function on uint64 lanes, in place
+    t = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= np.uint64(_MIX1)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= np.uint64(_MIX2)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 class RngStream:
@@ -81,21 +84,28 @@ class RngStream:
         return RngStream(self.root_seed, self.path + tuple(int(p) for p in path))
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        state = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        state = np.uint64(self._key) + idx * np.uint64(_GOLDEN)
+        state *= np.uint64(_GOLDEN)
+        state += np.uint64(self._key)
         return _mix64_array(state)
 
     def uniform(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
         """I.i.d. uniforms on [0, 1) as float64."""
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
-        out = (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)
-        return out.reshape(shape)
+        raw = self._raw(n)
+        raw >>= np.uint64(11)
+        return (raw * (2.0 ** -53)).reshape(shape)
 
     def _uniform_open(self, n: int) -> np.ndarray:
         # uniforms on (0, 1], safe to pass through log()
-        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        raw = self._raw(n)
+        raw >>= np.uint64(11)
+        out = raw.astype(np.float64)
+        out += 1.0
+        out *= 2.0 ** -53
+        return out
 
     def normal(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
         """I.i.d. standard normals via Box-Muller (no rejection, fixed draw count)."""

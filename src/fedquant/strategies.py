@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError, NumericError
 from .mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
-                  forward, kure_gradient, kure_loss)
+                  forward, kure_terms)
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, StepTable,
                        estimate_range_mse, rescale_step)
 from .rng import Purpose, RngStream
@@ -231,8 +231,9 @@ def local_train(task: ClientTask, strat: StrategyConfig,
                 extra_act = [strat.lam * g for g in act_grads]
             grads = backward(cache, extra_act_grads=extra_act)
             if regularize and strat.quantize_weights:
-                loss += strat.lam * kure_loss(params, strat.k_tau)
-                grads.add_scaled(kure_gradient(params, strat.k_tau), strat.lam)
+                reg_w, reg_grads = kure_terms(params, strat.k_tau)
+                loss += strat.lam * reg_w
+                grads.add_scaled(reg_grads, strat.lam)
         except NumericError as exc:
             raise DivergedError(
                 f"client {task.client_id} diverged at round {task.round_idx}, "

@@ -3,15 +3,17 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
+from fedquant import federation
 from fedquant.cli import main
 from fedquant.config import (DEFAULTS, apply_overrides, build_bit_configs,
                              build_fed_config, build_strategy, load_config,
                              validate_config)
 from fedquant.errors import ConfigError
-from fedquant.federation import FedConfig
+from fedquant.federation import FedConfig, load_checkpoint
 from fedquant.strategies import StrategyConfig
 from fedquant.theory import BoundInputs, compute_bound
 
@@ -146,6 +148,61 @@ class TestRunCommand:
             assert "diverged" in capsys.readouterr().err, threads
 
 
+# 6-256-256-3 on the smoke data: 68,355 parameters
+WIDE = ["--set", "model.hidden=[256,256]"]
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Counts the client thread pools ``federation.run`` builds."""
+    built = []
+
+    class CountingPool(federation.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "ThreadPoolExecutor", CountingPool)
+    return built
+
+
+class TestClientPool:
+    ARTIFACTS = ("history.csv", "eval.csv", "eval.json", "checkpoint.json")
+
+    def test_pool_only_at_or_above_pool_min_params(self, tmp_path, pools_built):
+        cfg = write_config(tmp_path)
+        runs = {"wide-t1": [*WIDE, "--threads", "1"],
+                "wide-t2": [*WIDE, "--threads", "2"],
+                "smoke-t2": ["--threads", "2"]}
+        pools, dims = {}, {}
+        for tag, args in runs.items():
+            out, before = tmp_path / tag, len(pools_built)
+            assert main(["run", "--config", cfg, "--out", str(out), "--quiet",
+                         *args]) == 0
+            pools[tag] = pools_built[before:]
+            dims[tag] = load_checkpoint(str(out / "checkpoint.json"))[0].params.dim
+        assert pools == {"wide-t1": [], "wide-t2": [2], "smoke-t2": []}
+        assert dims["smoke-t2"] < federation.POOL_MIN_PARAMS <= dims["wide-t2"]
+        for name in self.ARTIFACTS:
+            assert (tmp_path / "wide-t1" / name).read_bytes() == \
+                (tmp_path / "wide-t2" / name).read_bytes(), name
+
+    def test_divergence_on_the_pool_exits_3_naming_round_and_client(
+            self, tmp_path, capsys, pools_built):
+        cfg = write_config(tmp_path)
+        errors = []
+        for threads in ("1", "2"):
+            code = main(["run", "--config", cfg, "--out", str(tmp_path / threads),
+                         "--quiet", "--threads", threads, *WIDE,
+                         "--set", "federation.eta_c=1e300"])
+            assert code == 3, threads
+            errors.append(capsys.readouterr().err.strip())
+        assert pools_built == [2]
+        assert errors[0] == errors[1]
+        assert re.match(r"error: training diverged \(round \d+, client \d+\): ",
+                        errors[1]), errors[1]
+
+
 def _bad_checkpoint(edit):
     """Table entry: the smoke checkpoint with ``edit`` applied to its JSON."""
     def build(tmp_path, checkpoint):
@@ -207,6 +264,15 @@ MALFORMED_INPUTS = {
         lambda d: d["layers"].__setitem__(0, {"weight": "abc"})),
     "checkpoint-stale-config-hash": _bad_checkpoint(
         lambda d: d["config"].update(seed=d["config"]["seed"] + 1)),
+    "checkpoint-short-step-tables": _bad_checkpoint(
+        lambda d: d["step_tables"]["weights"].pop()),
+    "checkpoint-empty-layers": _bad_checkpoint(lambda d: d.update(layers=[])),
+    "checkpoint-bad-widths": _bad_checkpoint(lambda d: d.update(widths=[6, 9, 3])),
+    "checkpoint-adam-wrong-length": _bad_checkpoint(
+        lambda d: d.update(adam_m=[0.0] * 3, adam_v=[0.0] * 3)),
+    "checkpoint-fractional-round": _bad_checkpoint(lambda d: d.update(round=1.7)),
+    "checkpoint-negative-round": _bad_checkpoint(lambda d: d.update(round=-5)),
+    "checkpoint-bool-round": _bad_checkpoint(lambda d: d.update(round=True)),
     "override-str-as-int": _override('federation.total_rounds="abc"'),
     "override-bool-as-int": _override("federation.total_rounds=true"),
     "override-nan-eta-c": _override("federation.eta_c=NaN"),

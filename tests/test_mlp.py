@@ -8,7 +8,8 @@ import pytest
 from fedquant.errors import DegenerateTensorError, ShapeError, UsageError
 from fedquant.mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
                           forward, init_params, kure_gradient, kure_loss,
-                          kurtosis, kurtosis_gradient, predict_logits)
+                          kure_terms, kurtosis, kurtosis_gradient,
+                          predict_logits)
 from fedquant.quantize import make_spec, quantize, spec_from_step
 from fedquant.rng import RngStream
 from helpers import check_gradients
@@ -207,6 +208,25 @@ class TestKureRegularizer:
         grads = kure_gradient(params, 1.8)
         for _, gb in grads.layers:
             assert np.all(gb == 0.0)
+
+    def test_fused_pass_equals_the_oracles_bitwise(self):
+        params = small_net([32, 64, 48, 10], seed=54)
+        m = params.num_layers
+        loss, grads = kure_terms(params, 1.8)
+        assert loss == float(np.mean([(kurtosis(w) - 1.8) ** 2
+                                      for w in params.weights()]))
+        for (gw, _), w in zip(grads.layers, params.weights()):
+            want = (2.0 * (kurtosis(w) - 1.8) / m) * kurtosis_gradient(w)
+            assert np.array_equal(gw, want)
+        _, cache = forward(params, random_batch(20, 32, 10, seed=55))
+        loss, act_grads = act_kure_terms(cache, 1.8)
+        m = len(cache.relu_raw)
+        want_loss = 0.0
+        for r, g in zip(cache.relu_raw, act_grads):
+            want_loss += (kurtosis(r) - 1.8) ** 2 / m
+            assert np.array_equal(
+                g, (2.0 * (kurtosis(r) - 1.8) / m) * kurtosis_gradient(r))
+        assert loss == want_loss
 
 
 class TestActivationKure:

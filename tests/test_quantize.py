@@ -200,6 +200,13 @@ class TestPseudoQuantize:
         with pytest.raises(ConfigError):
             pseudo_quantize(np.zeros(3), 0.0, RngStream(0))
 
+    def test_leaves_input_unchanged(self):
+        w = RngStream(14).normal((16, 8))
+        before = w.copy()
+        out = pseudo_quantize(w, 0.5, RngStream(15))
+        assert np.array_equal(w, before)
+        assert out is not w and not np.array_equal(out, w)
+
 
 class TestSTE:
     def test_pass_through_inside_range(self):
