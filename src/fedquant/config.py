@@ -162,7 +162,9 @@ def _coerce(text: str):
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
-    """Apply --set dotted.key=value pairs onto a raw config document."""
+    """Apply --set dotted.key=value pairs onto a raw config object."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be an object")
     doc = copy.deepcopy(doc)
     for item in overrides:
         if "=" not in item:

@@ -24,8 +24,6 @@ from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec,
                        estimate_range_mse, quantize)
 from .strategies import StrategyConfig
 
-SWEEP_BITS_DEFAULT = (32, 8, 6, 4, 3, 2)
-
 
 @dataclass(frozen=True)
 class BitConfig:
@@ -90,8 +88,6 @@ def _weight_specs(state: ServerState, strat: StrategyConfig, bits: int,
                   exempt_first_last: bool = False) -> list[QuantSpec | None]:
     """Per-layer weight specs for an eval bit-width."""
     n = state.params.num_layers
-    if bits == IDENTITY_BITS:
-        return [None] * n
     reuse = (strat.quantizing and strat.quantize_weights
              and state.step_tables is not None
              and all(t.steps for t in state.step_tables.weights))
@@ -109,8 +105,6 @@ def _weight_specs(state: ServerState, strat: StrategyConfig, bits: int,
 def _act_specs(state: ServerState, strat: StrategyConfig, bits: int,
                params_for_calib: ParamSet, calib_batch: Batch
                ) -> list[QuantSpec | None]:
-    if bits == IDENTITY_BITS:
-        return [None] * (state.params.num_layers - 1)
     reuse = (strat.quantizing and strat.quantize_acts
              and state.step_tables is not None
              and state.step_tables.acts is not None

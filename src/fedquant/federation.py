@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset, FederatedDataset
 from .errors import AggregationError, ConfigError, DivergedError, ShapeError
 from .mlp import Batch, ParamSet, init_params, mean_cross_entropy, predict_logits
-from .quantize import IDENTITY_BITS, SUPPORTED_BITS, StepTable
+from .quantize import QuantSpec, StepTable
 from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
                          calibrate_steps, local_train, resolve_bits)
@@ -372,9 +372,7 @@ def _check_restored(state: ServerState, doc: dict) -> None:
                           "activation table per hidden layer")
     for table in tables.weights + (tables.acts or []):
         for bits, step in table.steps.items():
-            if bits not in SUPPORTED_BITS or bits == IDENTITY_BITS \
-                    or not (step > 0 and math.isfinite(step)):
-                raise ConfigError(f"step table entry {bits}: {step!r} is invalid")
+            QuantSpec(bits=bits, step=step)
 
 
 def load_checkpoint(path: str) -> tuple[ServerState, dict]:

@@ -178,7 +178,7 @@ def _apply(x: np.ndarray, entries: list | None, i: int,
     if entry is None:
         return x
     if isinstance(entry, QuantSpec):
-        return x if entry.identity else quantize(x, entry)
+        return quantize(x, entry)
     return pseudo_quantize(x, entry, rng)
 
 

@@ -4,8 +4,8 @@ A quantizer maps a real tensor onto the lattice ``step * k`` for integers
 ``k`` in a bit-width dependent grid: signed tensors (weights) use
 ``[-2^(b-1), 2^(b-1) - 1]``, unsigned tensors (post-ReLU activations) use
 ``[0, 2^b - 1]``. Values are divided by the step, rounded to the nearest
-integer (ties away from zero) and clamped to the grid. ``bits == 32`` is the
-identity pass-through everywhere.
+integer (ties away from zero) and clamped to the grid. 32 bits is full
+precision: ``None``, never a spec, so nothing here accepts it.
 
 Step sizes for different bit-widths of the same tensor are tied together by
 ``step_a * (2^a - 1) == step_b * (2^b - 1)``, i.e. all widths span the same
@@ -32,13 +32,15 @@ def grid_bounds(bits: int, signed: bool) -> tuple[int, int]:
 
 
 def _check_bits(bits: int) -> None:
+    if bits == IDENTITY_BITS:
+        raise ConfigError("32 bits is full precision and has no quantizer grid")
     if bits not in SUPPORTED_BITS:
         raise ConfigError(f"unsupported bit-width {bits}; choose from {SUPPORTED_BITS}")
 
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Per-tensor quantizer state: bit-width, step and grid bounds.
+    """Per-tensor quantizer; ``grid_bounds`` derives its grid from the bits.
 
     ``default_range`` flags a spec that fell back to a unit range because the
     calibration tensor was all zeros.
@@ -46,29 +48,21 @@ class QuantSpec:
 
     bits: int
     step: float
-    grid_min: int
-    grid_max: int
     signed: bool = True
     default_range: bool = False
 
     def __post_init__(self):
         _check_bits(self.bits)
-        if self.bits != IDENTITY_BITS:
-            if not (self.step > 0.0 and np.isfinite(self.step)):
-                raise ConfigError(f"quantizer step must be positive, got {self.step}")
-            lo, hi = grid_bounds(self.bits, self.signed)
-            if (self.grid_min, self.grid_max) != (lo, hi):
-                raise ConfigError(
-                    f"grid [{self.grid_min}, {self.grid_max}] inconsistent with "
-                    f"{self.bits}-bit {'signed' if self.signed else 'unsigned'} layout"
-                )
+        if not (self.step > 0.0 and np.isfinite(self.step)):
+            raise ConfigError(f"quantizer step must be positive, got {self.step}")
 
     @property
-    def identity(self) -> bool:
-        return self.bits == IDENTITY_BITS
+    def grid_min(self) -> int:
+        return grid_bounds(self.bits, self.signed)[0]
 
-
-IDENTITY_SPEC = QuantSpec(bits=IDENTITY_BITS, step=1.0, grid_min=0, grid_max=0)
+    @property
+    def grid_max(self) -> int:
+        return grid_bounds(self.bits, self.signed)[1]
 
 
 def make_spec(range_max: float, bits: int, signed: bool = True,
@@ -78,25 +72,10 @@ def make_spec(range_max: float, bits: int, signed: bool = True,
     Signed: step = range_max / (2^(b-1) - 1). Unsigned: range_max / (2^b - 1).
     """
     _check_bits(bits)
-    if bits == IDENTITY_BITS:
-        return IDENTITY_SPEC
-    if bits < 2:
-        raise ConfigError("bit-widths below 2 have no usable signed grid")
     if not (range_max > 0.0 and np.isfinite(range_max)):
         raise ConfigError(f"range_max must be positive, got {range_max}")
-    lo, hi = grid_bounds(bits, signed)
-    denom = (2 ** (bits - 1) - 1) if signed else (2 ** bits - 1)
-    return QuantSpec(bits=bits, step=range_max / denom, grid_min=lo, grid_max=hi,
+    return QuantSpec(bits=bits, step=range_max / grid_bounds(bits, signed)[1],
                      signed=signed, default_range=default_range)
-
-
-def spec_from_step(step: float, bits: int, signed: bool = True) -> QuantSpec:
-    """Build a spec directly from a step size (used with rescaled step tables)."""
-    _check_bits(bits)
-    if bits == IDENTITY_BITS:
-        return IDENTITY_SPEC
-    lo, hi = grid_bounds(bits, signed)
-    return QuantSpec(bits=bits, step=step, grid_min=lo, grid_max=hi, signed=signed)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -108,8 +87,6 @@ def quantize(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Snap ``w`` onto the spec's grid: step * clip(round(w/step), lo, hi)."""
     if not np.all(np.isfinite(w)):
         raise NumericError("cannot quantize non-finite values")
-    if spec.identity:
-        return np.array(w, dtype=np.float64, copy=True)
     k = np.clip(round_half_away(np.asarray(w, dtype=np.float64) / spec.step),
                 spec.grid_min, spec.grid_max)
     return spec.step * k
@@ -126,8 +103,6 @@ def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True,
     _check_bits(bits)
     if num_candidates < 2:
         raise ConfigError("need at least 2 range candidates")
-    if bits == IDENTITY_BITS:
-        return IDENTITY_SPEC
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ConfigError("cannot estimate a range for an empty tensor")
@@ -154,8 +129,6 @@ def rescale_step(step_b: float, bits_b: int, bits_a: int) -> float:
     """
     _check_bits(bits_a)
     _check_bits(bits_b)
-    if IDENTITY_BITS in (bits_a, bits_b):
-        raise ConfigError("the 32-bit identity pass-through has no step to rescale")
     if not (step_b > 0.0):
         raise ConfigError(f"step must be positive, got {step_b}")
     return ((2 ** bits_b - 1) / (2 ** bits_a - 1)) * step_b
@@ -179,8 +152,6 @@ def pseudo_quantize(w: np.ndarray, step: float, rng: RngStream) -> np.ndarray:
 
 def ste_mask(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Boolean mask of elements whose pre-image lies inside the clip range."""
-    if spec.identity:
-        return np.ones(np.shape(w), dtype=bool)
     ratio = np.asarray(w, dtype=np.float64) / spec.step
     return (ratio >= spec.grid_min) & (ratio <= spec.grid_max)
 
@@ -190,8 +161,6 @@ def ste_backward(grad_out: np.ndarray, w: np.ndarray, spec: QuantSpec) -> np.nda
     if np.shape(grad_out) != np.shape(w):
         raise NumericError(
             f"gradient shape {np.shape(grad_out)} does not match tensor {np.shape(w)}")
-    if spec.identity:
-        return np.array(grad_out, dtype=np.float64, copy=True)
     return np.where(ste_mask(w, spec), grad_out, 0.0)
 
 
@@ -203,8 +172,7 @@ class StepTable:
 
     def step_for(self, bits: int) -> float:
         """Look up, or derive by rescaling from any stored entry."""
-        if bits == IDENTITY_BITS:
-            raise ConfigError("identity pass-through has no step")
+        _check_bits(bits)
         if bits in self.steps:
             return self.steps[bits]
         if not self.steps:
@@ -213,7 +181,5 @@ class StepTable:
         return rescale_step(self.steps[anchor], anchor, bits)
 
     def spec_for(self, bits: int, signed: bool = True) -> QuantSpec:
-        if bits == IDENTITY_BITS:
-            return IDENTITY_SPEC
-        return spec_from_step(self.step_for(bits), bits, signed)
+        return QuantSpec(bits=bits, step=self.step_for(bits), signed=signed)
 

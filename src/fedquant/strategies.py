@@ -11,6 +11,7 @@ weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,7 @@ def calibrate_steps(params: ParamSet, bits: tuple[int, ...],
 
     The smallest bit is the most clipping-sensitive, so it anchors the search;
     activation ranges come from one plain forward pass on the calibration
-    batch. 32-bit members contribute no table entry (identity pass-through).
+    batch. 32-bit members get no table entry: full precision has no grid.
     """
     real_bits = sorted(b for b in set(bits) if b != IDENTITY_BITS)
     if not real_bits:
@@ -221,29 +222,31 @@ def local_train(task: ClientTask, strat: StrategyConfig,
     params = task.start_params.copy()
     start_flat = task.start_params.flatten()
     trace: list[float] = []
-    for k in range(task.local_steps):
-        try:
-            loss, cache = forward(params, task.batches[k], plan, rng=noise_rng)
-            extra_act = None
-            if regularize and strat.quantize_acts:
-                reg_a, act_grads = act_kure_terms(cache, strat.k_tau)
-                loss += strat.lam * reg_a
-                extra_act = [strat.lam * g for g in act_grads]
-            grads = backward(cache, extra_act_grads=extra_act)
-            if regularize and strat.quantize_weights:
-                reg_w, reg_grads = kure_terms(params, strat.k_tau)
-                loss += strat.lam * reg_w
-                grads.add_scaled(reg_grads, strat.lam)
-        except NumericError as exc:
-            raise DivergedError(
-                f"client {task.client_id} diverged at round {task.round_idx}, "
-                f"step {k}: {exc}",
-                round_idx=task.round_idx, client_id=task.client_id) from exc
-        if not np.isfinite(loss):
-            raise DivergedError(f"client {task.client_id} loss non-finite",
-                                round_idx=task.round_idx, client_id=task.client_id)
-        params.add_scaled(grads, -task.eta_c)
-        trace.append(float(loss))
-    delta = params.flatten() - start_flat
+    # overflow leaves inf/NaN for the next forward or the final check to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(task.local_steps):
+            try:
+                loss, cache = forward(params, task.batches[k], plan, rng=noise_rng)
+                extra_act = None
+                if regularize and strat.quantize_acts:
+                    reg_a, act_grads = act_kure_terms(cache, strat.k_tau)
+                    loss += strat.lam * reg_a
+                    extra_act = [strat.lam * g for g in act_grads]
+                grads = backward(cache, extra_act_grads=extra_act)
+                if regularize and strat.quantize_weights:
+                    reg_w, reg_grads = kure_terms(params, strat.k_tau)
+                    loss += strat.lam * reg_w
+                    grads.add_scaled(reg_grads, strat.lam)
+            except NumericError as exc:
+                raise DivergedError(
+                    f"client {task.client_id} diverged at round {task.round_idx}, "
+                    f"step {k}: {exc}",
+                    round_idx=task.round_idx, client_id=task.client_id) from exc
+            params.add_scaled(grads, -task.eta_c)
+            trace.append(float(loss))
+        delta = params.flatten() - start_flat
+    if not (np.all(np.isfinite(delta)) and all(map(math.isfinite, trace))):
+        raise DivergedError(f"client {task.client_id} loss or update non-finite",
+                            round_idx=task.round_idx, client_id=task.client_id)
     return ClientUpdate(client_id=task.client_id, delta=delta,
                         local_loss_trace=trace, sampled_bit=sampled_bit)

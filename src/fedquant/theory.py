@@ -35,7 +35,7 @@ from .data import FederatedDataset
 from .errors import ConfigError
 from .federation import FedConfig, ServerState, step_round
 from .mlp import Batch, ParamSet, backward, forward, init_params
-from .quantize import QuantSpec, StepTable, quantize
+from .quantize import SUPPORTED_BITS, QuantSpec, StepTable, quantize
 from .rng import Purpose, RngStream
 from .strategies import StepTables, StrategyConfig
 
@@ -213,12 +213,12 @@ def empirical_noise_bound(params: ParamSet, steps: tuple[float, ...], method: st
 def _spec_for_weights(flat: np.ndarray, step: float) -> QuantSpec:
     # smallest supported bit-width whose grid covers the weights, so the
     # rounding error stays within step/2 everywhere
-    from .quantize import SUPPORTED_BITS, spec_from_step
     absmax = float(np.max(np.abs(flat))) if flat.size else 0.0
     for bits in SUPPORTED_BITS[:-1]:
-        if (2 ** (bits - 1) - 1) * step >= absmax:
-            return spec_from_step(step, bits)
-    return spec_from_step(step, 8)
+        spec = QuantSpec(bits=bits, step=step)
+        if spec.grid_max * step >= absmax:
+            break
+    return spec
 
 
 # ---------------------------------------------------------------------------

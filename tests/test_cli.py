@@ -13,7 +13,7 @@ from fedquant.config import (DEFAULTS, apply_overrides, build_bit_configs,
                              build_fed_config, build_strategy, load_config,
                              validate_config)
 from fedquant.errors import ConfigError
-from fedquant.federation import FedConfig, load_checkpoint
+from fedquant.federation import FedConfig, config_hash, load_checkpoint
 from fedquant.strategies import StrategyConfig
 from fedquant.theory import BoundInputs, compute_bound
 
@@ -70,6 +70,12 @@ class TestConfigDocument:
         unseeded = {k: v for k, v in SMOKE.items() if k != "seed"}
         no_seed = load_config(write_config(tmp_path, unseeded, "no_seed.json"))
         assert no_seed["seed"] == 777
+
+    def test_env_seed_needs_an_object_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDQUANT_SEED", "777")
+        for root in ([], "abc"):
+            with pytest.raises(ConfigError, match="config root must be an object"):
+                load_config(write_config(tmp_path, root, "root.json"))
 
     def test_defaults_are_the_dataclass_defaults(self):
         doc = validate_config({})
@@ -199,18 +205,20 @@ class TestClientPool:
             errors.append(capsys.readouterr().err.strip())
         assert pools_built == [2]
         assert errors[0] == errors[1]
+        assert len(errors[1].splitlines()) == 1, errors[1]
         assert re.match(r"error: training diverged \(round \d+, client \d+\): ",
                         errors[1]), errors[1]
 
 
-def _bad_checkpoint(edit):
-    """Table entry: the smoke checkpoint with ``edit`` applied to its JSON."""
+def _bad_checkpoint(edit, *args):
+    """Table entry: the smoke checkpoint with ``edit`` applied to its JSON,
+    evaluated with the extra arguments ``args``."""
     def build(tmp_path, checkpoint):
         doc = json.loads(open(checkpoint, encoding="utf-8").read())
         edit(doc)
         path = tmp_path / "bad_checkpoint.json"
         path.write_text(json.dumps(doc))
-        return ["eval", "--checkpoint", str(path)]
+        return ["eval", "--checkpoint", str(path), *args]
     return build
 
 
@@ -251,6 +259,14 @@ def _bound_flags(*flags):
     return build
 
 
+def _config_root(root):
+    """Table entry: a config file whose root is ``root``, run with a --set."""
+    def build(tmp_path, checkpoint):
+        return ["run", "--config", write_config(tmp_path, root), "--quiet",
+                "--out", str(tmp_path / "out"), "--set", "seed=1"]
+    return build
+
+
 def _eval_override(item):
     def build(tmp_path, checkpoint):
         return ["eval", "--checkpoint", checkpoint, "--set", item]
@@ -273,6 +289,15 @@ MALFORMED_INPUTS = {
     "checkpoint-fractional-round": _bad_checkpoint(lambda d: d.update(round=1.7)),
     "checkpoint-negative-round": _bad_checkpoint(lambda d: d.update(round=-5)),
     "checkpoint-bool-round": _bad_checkpoint(lambda d: d.update(round=True)),
+    "checkpoint-step-table-32-bits": _bad_checkpoint(
+        lambda d: d["step_tables"]["weights"][0].update({"32": 0.1})),
+    "checkpoint-step-table-zero-step": _bad_checkpoint(
+        lambda d: d["step_tables"]["weights"][0].update({"2": 0.0})),
+    "checkpoint-list-config-with-eval-set": _bad_checkpoint(
+        lambda d: d.update(config=[], config_hash=config_hash([])),
+        "--set", "eval.weight_bits=[2]"),
+    "config-list-root-with-override": _config_root([]),
+    "config-string-root-with-override": _config_root("abc"),
     "override-str-as-int": _override('federation.total_rounds="abc"'),
     "override-bool-as-int": _override("federation.total_rounds=true"),
     "override-nan-eta-c": _override("federation.eta_c=NaN"),

@@ -10,7 +10,7 @@ from fedquant.mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
                           forward, init_params, kure_gradient, kure_loss,
                           kure_terms, kurtosis, kurtosis_gradient,
                           predict_logits)
-from fedquant.quantize import make_spec, quantize, spec_from_step
+from fedquant.quantize import QuantSpec, make_spec, quantize
 from fedquant.rng import RngStream
 from helpers import check_gradients
 
@@ -59,10 +59,13 @@ class TestForward:
     def test_identity_quantizer_is_bitwise_plain(self):
         params = small_net([5, 9, 4])
         batch = random_batch(16, 5, 4)
-        plain, _ = forward(params, batch)
-        plan = QuantPlan(weights=[make_spec(1.0, 32)] * params.num_layers)
-        quantized, _ = forward(params, batch, plan)
+        plain, plain_cache = forward(params, batch)
+        plan = QuantPlan(weights=[None] * params.num_layers,
+                         acts=[None] * (params.num_layers - 1))
+        quantized, cache = forward(params, batch, plan)
         assert plain == quantized
+        assert np.array_equal(backward(cache).flatten(),
+                              backward(plain_cache).flatten())
 
     def test_qat_forward_equals_prequantized_plain_forward(self):
         params = small_net([5, 9, 4], seed=3)
@@ -119,7 +122,7 @@ class TestGradients:
         for w, _ in params.layers:
             k = np.clip(np.round(w / step), -6, 6)
             w[:] = (k + 0.3) * step
-        specs = [spec_from_step(step, 4) for _ in params.layers]
+        specs = [QuantSpec(bits=4, step=step) for _ in params.layers]
         batch = random_batch(16, 5, 3, seed=32)
         plan = QuantPlan(weights=specs)
         _, cache = forward(params, batch, plan)

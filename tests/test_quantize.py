@@ -7,7 +7,7 @@ from fedquant.errors import ConfigError, NumericError
 from fedquant.quantize import (IDENTITY_BITS, QuantSpec, StepTable,
                                estimate_range_mse, make_spec, pseudo_quantize,
                                quantize, rescale_step, round_half_away,
-                               spec_from_step, ste_backward, ste_mask)
+                               ste_backward, ste_mask)
 from fedquant.rng import RngStream
 from helpers import steps_consistent
 
@@ -39,20 +39,18 @@ class TestQuantize:
 
     def test_two_bit_hand_example(self):
         # grid {-1.0, -0.5, 0, 0.5} at step 0.5
-        spec = spec_from_step(0.5, 2)
+        spec = QuantSpec(bits=2, step=0.5)
         assert quantize(np.array([0.6]), spec)[0] == 0.5
 
     def test_clipping_to_grid_max(self):
-        spec = spec_from_step(0.5, 2)
+        spec = QuantSpec(bits=2, step=0.5)
         assert quantize(np.array([10.0]), spec)[0] == 0.5
         assert quantize(np.array([-10.0]), spec)[0] == -1.0
 
     def test_identity_at_32_bits(self):
-        spec = make_spec(1.0, IDENTITY_BITS)
-        x = np.array([0.123456789, -9.5, 7.25])
-        out = quantize(x, spec)
-        assert np.array_equal(out, x)
-        assert out is not x
+        # full precision is a None plan entry, never a spec
+        with pytest.raises(ConfigError, match="full precision"):
+            make_spec(1.0, IDENTITY_BITS)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
@@ -108,8 +106,30 @@ class TestMakeSpec:
             make_spec(1.0, 5)
 
     def test_grid_bounds_validated(self):
-        with pytest.raises(ConfigError):
-            QuantSpec(bits=4, step=0.1, grid_min=-7, grid_max=7)
+        signed = QuantSpec(bits=4, step=0.1)
+        assert (signed.grid_min, signed.grid_max) == (-8, 7)
+        unsigned = QuantSpec(bits=4, step=0.1, signed=False)
+        assert (unsigned.grid_min, unsigned.grid_max) == (0, 15)
+
+    def test_rejects_bad_step(self):
+        for step in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="step must be positive"):
+                QuantSpec(bits=4, step=step)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: QuantSpec(bits=IDENTITY_BITS, step=0.1),
+    lambda: make_spec(1.0, IDENTITY_BITS),
+    lambda: estimate_range_mse(np.ones(4), IDENTITY_BITS),
+    lambda: rescale_step(0.1, IDENTITY_BITS, 4),
+    lambda: rescale_step(0.1, 4, IDENTITY_BITS),
+    lambda: StepTable({4: 0.2}).step_for(IDENTITY_BITS),
+    lambda: StepTable({4: 0.2}).spec_for(IDENTITY_BITS),
+], ids=["QuantSpec", "make_spec", "estimate_range_mse", "rescale_step-from",
+        "rescale_step-to", "StepTable.step_for", "StepTable.spec_for"])
+def test_32_bits_has_no_grid(call):
+    with pytest.raises(ConfigError, match="32 bits is full precision"):
+        call()
 
 
 class TestRangeEstimation:
@@ -222,9 +242,10 @@ class TestSTE:
         assert np.array_equal(out, np.array([0.0, 0.0, 1.0]))
 
     def test_identity_spec_passes_everything(self):
-        spec = make_spec(1.0, IDENTITY_BITS)
-        g = np.array([1.0, -2.0, 1e9])
-        assert np.array_equal(ste_backward(g, np.array([0.0, 1e30, -1e30]), spec), g)
+        # no 32-bit spec exists to pass gradients through; a None plan
+        # entry leaves them whole instead (tests/test_mlp.py)
+        with pytest.raises(ConfigError, match="full precision"):
+            QuantSpec(bits=IDENTITY_BITS, step=1.0)
 
     def test_negative_boundary_included(self):
         # signed grid reaches one step lower on the negative side

@@ -231,6 +231,16 @@ class TestLocalTrain:
         assert err.value.client_id == 9
         assert err.value.round_idx == 4
 
+    def test_overflow_in_the_last_step_reports_round_and_client(self):
+        # the one step's update overflows to inf without a warning; no later
+        # forward pass sees it, so the delta check must name the client
+        params = make_net(seed=29)
+        batches = [Batch(b.inputs * 1e3, b.labels) for b in make_batches(1, seed=30)]
+        task = make_task(params, batches, eta=1e308, client=9, round_idx=4)
+        with pytest.raises(DivergedError, match="update non-finite") as err:
+            local_train(task, StrategyConfig())
+        assert (err.value.round_idx, err.value.client_id) == (4, 9)
+
     def test_mqat_requires_sampled_bit(self):
         params = make_net()
         batches = make_batches(1)
