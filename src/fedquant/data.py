@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,8 @@ def partition_stats(labels: np.ndarray, assignment: list[np.ndarray],
 
 
 def load_csv(path: str, num_classes: int | None = None) -> Dataset:
-    """Header-less ``label,f1,...,fd`` rows; ragged rows are rejected."""
+    """Header-less ``label,f1,...,fd`` rows; ragged rows, non-finite values
+    and labels that are not int64 integers are rejected with their line."""
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -164,14 +166,18 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
                 raise ConfigError(f"{path}:{lineno}: ragged row "
                                   f"({len(parts)} fields, expected {width})")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ConfigError(f"{path}:{lineno}: non-finite value")
+            if not (row[0].is_integer() and -2.0 ** 63 <= row[0] < 2.0 ** 63):
+                raise ConfigError(f"{path}:{lineno}: label {parts[0].strip()} "
+                                  "is not an int64 integer")
+            rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
     labels = arr[:, 0].astype(np.int64)
-    if np.any(arr[:, 0] != labels):
-        raise ConfigError(f"{path}: labels must be integers")
     classes = num_classes if num_classes is not None else int(labels.max()) + 1
     return Dataset(arr[:, 1:], labels, classes)

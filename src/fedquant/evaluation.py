@@ -86,20 +86,21 @@ class EvalReport:
 
 def _weight_specs(state: ServerState, strat: StrategyConfig, bits: int,
                   exempt_first_last: bool = False) -> list[QuantSpec | None]:
-    """Per-layer weight specs for an eval bit-width."""
-    n = state.params.num_layers
+    """Per-layer weight specs for an eval bit-width; exempt layers get None
+    without a search."""
+    last = state.params.num_layers - 1
     reuse = (strat.quantizing and strat.quantize_weights
              and state.step_tables is not None
              and all(t.steps for t in state.step_tables.weights))
-    if reuse:
-        specs = [t.spec_for(bits, signed=True) for t in state.step_tables.weights]
-    else:
-        specs = [estimate_range_mse(w, bits, signed=True)
-                 for w, _ in state.params.layers]
-    if exempt_first_last:
-        specs[0] = None
-        specs[n - 1] = None
-    return specs
+
+    def spec(i: int, w: np.ndarray) -> QuantSpec | None:
+        if exempt_first_last and i in (0, last):
+            return None
+        if reuse:
+            return state.step_tables.weights[i].spec_for(bits, signed=True)
+        return estimate_range_mse(w, bits, signed=True)
+
+    return [spec(i, w) for i, (w, _) in enumerate(state.params.layers)]
 
 
 def _act_specs(state: ServerState, strat: StrategyConfig, bits: int,
@@ -117,16 +118,25 @@ def _act_specs(state: ServerState, strat: StrategyConfig, bits: int,
 
 def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
                       calib_batch: Batch | None = None,
-                      exempt_first_last: bool = False
+                      exempt_first_last: bool = False,
+                      weight_specs: dict[int, list[QuantSpec | None]] | None = None
                       ) -> tuple[ParamSet, list[QuantSpec | None] | None]:
     """Materialize quantized parameters and activation specs for one config.
 
     ``exempt_first_last`` leaves the first and last weight matrices at full
     precision (a common deployment concession); the default quantizes every
-    layer including the classifier head.
+    layer including the classifier head. ``weight_specs`` maps weight
+    bit-widths to specs already found for this state, strategy and
+    exemption; a missing entry is computed and stored, so configs that
+    share the dict search each weight bit-width once.
     """
     if bc.weight_bits is not None and bc.weight_bits != IDENTITY_BITS:
-        specs = _weight_specs(state, strat, bc.weight_bits, exempt_first_last)
+        if weight_specs is None:
+            weight_specs = {}
+        if bc.weight_bits not in weight_specs:
+            weight_specs[bc.weight_bits] = _weight_specs(
+                state, strat, bc.weight_bits, exempt_first_last)
+        specs = weight_specs[bc.weight_bits]
         layers = [(w if s is None else quantize(w, s), b.copy())
                   for (w, b), s in zip(state.params.layers, specs)]
         params = ParamSet(layers)
@@ -155,8 +165,12 @@ def sweep(state: ServerState, strat: StrategyConfig,
           calib_batch: Batch | None = None,
           metadata: dict | None = None,
           exempt_first_last: bool = False) -> EvalReport:
-    """Evaluate every requested bit config (duplicates dropped with a warning)."""
+    """Evaluate every requested bit config (duplicates dropped with a warning).
+
+    W and WA rows at the same weight bit-width share one set of weight specs.
+    """
     seen: set[BitConfig] = set()
+    weight_specs: dict[int, list[QuantSpec | None]] = {}
     report = EvalReport(metadata=dict(metadata or {}))
     for bc in bit_configs:
         if bc in seen:
@@ -164,7 +178,7 @@ def sweep(state: ServerState, strat: StrategyConfig,
             continue
         seen.add(bc)
         params, act_specs = quantize_for_eval(state, bc, strat, calib_batch,
-                                              exempt_first_last)
+                                              exempt_first_last, weight_specs)
         acc, loss = evaluate(params, act_specs, dataset)
         report.rows.append(EvalRow(strategy=strat.kind,
                                    weight_bits=bc.weight_bits,

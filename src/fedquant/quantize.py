@@ -92,6 +92,42 @@ def quantize(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     return spec.step * k
 
 
+_BLOCK_ELEMENTS = 16384  # candidate rows x tensor elements per kernel pass
+
+
+def candidate_mse(w: np.ndarray, steps: np.ndarray, bits: int,
+                  signed: bool = True) -> np.ndarray:
+    """Reconstruction MSE of ``w`` on the grid of each step in ``steps``.
+
+    Entry i equals ``np.mean((quantize(w, spec_i) - w) ** 2)`` bit for bit:
+    the same operations in the same order, on ``w`` read in memory order.
+    Blocks of steps share one buffer of at most ``_BLOCK_ELEMENTS`` values
+    (one row if the tensor is larger), so the loop allocates nothing.
+    """
+    grid_min, grid_max = grid_bounds(bits, signed)
+    flat = np.asarray(w, dtype=np.float64).ravel(order="K")
+    mag = np.abs(flat)
+    sign = np.sign(flat)
+    # round(|w|/step) clamped to the grid on w's side of zero
+    cap = np.where(flat >= 0, float(grid_max), float(-grid_min))
+    mse = np.empty(steps.size)
+    rows = max(1, min(steps.size, _BLOCK_ELEMENTS // flat.size))
+    buf = np.empty((rows, flat.size))
+    for lo in range(0, steps.size, rows):
+        step = steps[lo:lo + rows, None]
+        b = buf[:step.shape[0]]
+        np.divide(mag, step, out=b)
+        b += 0.5
+        np.floor(b, out=b)
+        np.minimum(b, cap, out=b)
+        b *= sign
+        b *= step
+        b -= flat
+        np.square(b, out=b)
+        np.mean(b, axis=1, out=mse[lo:lo + step.shape[0]])
+    return mse
+
+
 def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True,
                        num_candidates: int = 100) -> QuantSpec:
     """Grid-search the clipping range that minimizes reconstruction MSE.
@@ -109,16 +145,14 @@ def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True,
     absmax = float(np.max(np.abs(w)))
     if absmax == 0.0:
         return make_spec(1.0, bits, signed, default_range=True)
-    best_spec = None
-    best_mse = np.inf
-    for j in range(num_candidates, 0, -1):
-        spec = make_spec(absmax * (j / num_candidates), bits, signed)
-        err = quantize(w, spec) - w
-        mse = float(np.mean(err * err))
-        if mse < best_mse:
-            best_mse = mse
-            best_spec = spec
-    return best_spec
+    ranges = absmax * (np.arange(num_candidates, 0, -1) / num_candidates)
+    steps = ranges / grid_bounds(bits, signed)[1]
+    bad = np.flatnonzero(~((steps > 0.0) & (steps < np.inf)))
+    if bad.size:  # a non-finite tensor, or a step that underflows to zero
+        make_spec(float(ranges[bad[0]]), bits, signed)
+    # argmin keeps the first minimum: the largest range among equal MSEs
+    best = int(np.argmin(candidate_mse(w, steps, bits, signed)))
+    return make_spec(float(ranges[best]), bits, signed)
 
 
 def rescale_step(step_b: float, bits_b: int, bits_a: int) -> float:

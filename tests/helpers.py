@@ -3,7 +3,7 @@
 import numpy as np
 
 from fedquant.mlp import ParamSet
-from fedquant.quantize import StepTable
+from fedquant.quantize import StepTable, make_spec, quantize
 
 
 def check_gradients(params: ParamSet, loss_fn, analytic: ParamSet,
@@ -34,3 +34,28 @@ def steps_consistent(table: StepTable, rel_tol: float = 1e-12) -> bool:
         return True
     ref = spans[0]
     return all(abs(s - ref) <= rel_tol * abs(ref) for s in spans[1:])
+
+
+def range_search_oracle(w: np.ndarray, bits: int, signed: bool = True,
+                        num_candidates: int = 100):
+    """The MSE range search as one ``quantize`` call per candidate range.
+
+    Returns the chosen spec (strict ``<`` over j = num_candidates..1, so ties
+    keep the larger range) and the list of candidate steps and MSEs in that
+    order; an all-zero tensor gives the unit default range and no candidates.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    absmax = float(np.max(np.abs(w)))
+    if absmax == 0.0:
+        return make_spec(1.0, bits, signed, default_range=True), [], []
+    best_spec, best_mse, steps, mses = None, np.inf, [], []
+    for j in range(num_candidates, 0, -1):
+        spec = make_spec(absmax * (j / num_candidates), bits, signed)
+        err = quantize(w, spec) - w
+        mse = float(np.mean(err * err))
+        steps.append(spec.step)
+        mses.append(mse)
+        if mse < best_mse:
+            best_mse = mse
+            best_spec = spec
+    return best_spec, steps, mses

@@ -238,6 +238,19 @@ def _override(*items):
     return build
 
 
+def _csv_data(bad_row):
+    """Table entry: the smoke run on 40 good CSV rows followed by ``bad_row``."""
+    def build(tmp_path, checkpoint):
+        rows = [f"{i % 3}," + ",".join(str(0.1 * (i + j)) for j in range(6))
+                for i in range(40)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows + [bad_row]) + "\n")
+        doc = {**SMOKE, "data": {**SMOKE["data"], "csv_path": str(path)}}
+        return ["run", "--config", write_config(tmp_path, doc), "--quiet",
+                "--out", str(tmp_path / "out")]
+    return build
+
+
 BOUND_INPUTS = {"L": 1.0, "sigma_l": 1.0, "sigma_g": 1.0, "D": 100, "K": 10,
                 "T": 1000, "eta_c": 0.01, "eta_s": 1.0, "method": "qat",
                 "steps": [0.12], "initial_gap": 1.0}
@@ -296,6 +309,8 @@ MALFORMED_INPUTS = {
     "checkpoint-list-config-with-eval-set": _bad_checkpoint(
         lambda d: d.update(config=[], config_hash=config_hash([])),
         "--set", "eval.weight_bits=[2]"),
+    "csv-nan-feature": _csv_data("1,0.5,nan,0.5,0.5,0.5,0.5"),
+    "csv-nan-label": _csv_data("nan,0.5,0.5,0.5,0.5,0.5,0.5"),
     "config-list-root-with-override": _config_root([]),
     "config-string-root-with-override": _config_root("abc"),
     "override-str-as-int": _override('federation.total_rounds="abc"'),

@@ -1,5 +1,7 @@
 """Synthetic data generation and the Dirichlet label partition."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,20 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("0.5,1.0\n")
         with pytest.raises(ConfigError):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("row,reason", [
+        ("0.5,1.0", "label 0.5 is not an int64 integer"),
+        ("1e19,1.0", "label 1e19 is not an int64 integer"),
+        ("nan,1.0", "non-finite value"),
+        ("-inf,1.0", "non-finite value"),
+        ("1,nan", "non-finite value"),
+        ("1,inf", "non-finite value"),
+    ])
+    def test_bad_values_rejected_with_their_line(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1.0\n{row}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: {reason}")):
             load_csv(str(path))
 
     def test_empty_rejected(self, tmp_path):

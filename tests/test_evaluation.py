@@ -12,7 +12,7 @@ from fedquant.evaluation import (BitConfig, evaluate, quantize_for_eval,
                                  sweep)
 from fedquant.federation import FedConfig, make_calibration_batch, run
 from fedquant.mlp import Batch, backward, forward, init_params, predict_logits
-from fedquant.quantize import quantize, rescale_step
+from fedquant.quantize import estimate_range_mse, quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import StrategyConfig
 
@@ -207,6 +207,46 @@ class TestSweep:
         assert np.array_equal(got.layers[0][0], params3.layers[0][0])
         assert np.array_equal(got.layers[-1][0], params3.layers[-1][0])
         assert np.any(got.layers[1][0] != params3.layers[1][0])
+
+
+class TestSweepSearches:
+    """A sweep searches each weight bit-width once, shared by its W and WA
+    rows, and never searches the layers ``exempt_first_last`` keeps."""
+
+    CONFIGS = [BitConfig(weight_bits=4), BitConfig(weight_bits=2),
+               BitConfig(weight_bits=4, act_bits=4),
+               BitConfig(weight_bits=2, act_bits=8), BitConfig(act_bits=8),
+               BitConfig(weight_bits=32)]
+
+    @pytest.mark.parametrize("exempt", [False, True])
+    def test_searches_once_per_weight_bit_width(self, exempt, monkeypatch):
+        from fedquant import evaluation
+        from fedquant.federation import ServerState
+        data = fed_data(seed=3)
+        state = ServerState(round_idx=0,
+                            params=init_params([8, 8, 8, 8, 4], RngStream(78)))
+        calib = Batch(data.base.inputs[:10], data.base.labels[:10])
+        expected = []
+        for bc in self.CONFIGS:
+            params, act_specs = quantize_for_eval(state, bc, StrategyConfig(),
+                                                  calib, exempt)
+            expected.append(evaluate(params, act_specs, data.holdout))
+        searches = []
+
+        def counted(w, bits, signed=True):
+            searches.append((bits, signed))
+            return estimate_range_mse(w, bits, signed)
+
+        monkeypatch.setattr(evaluation, "estimate_range_mse", counted)
+        report = sweep(state, StrategyConfig(), self.CONFIGS, data.holdout,
+                       calib_batch=calib, exempt_first_last=exempt)
+        assert [(r.accuracy, r.loss) for r in report.rows] == expected
+        per_bits = state.params.num_layers - (2 if exempt else 0)
+        weight_bits = sorted(b for b, signed in searches if signed)
+        assert weight_bits == [2] * per_bits + [4] * per_bits
+        # activation specs depend on the quantized weights: one search per
+        # hidden layer and activation row
+        assert sum(not signed for _, signed in searches) == 3 * 3
 
 
 class TestReportSerialization:

@@ -5,11 +5,11 @@ import pytest
 
 from fedquant.errors import ConfigError, NumericError
 from fedquant.quantize import (IDENTITY_BITS, QuantSpec, StepTable,
-                               estimate_range_mse, make_spec, pseudo_quantize,
-                               quantize, rescale_step, round_half_away,
-                               ste_backward, ste_mask)
+                               candidate_mse, estimate_range_mse, make_spec,
+                               pseudo_quantize, quantize, rescale_step,
+                               round_half_away, ste_backward, ste_mask)
 from fedquant.rng import RngStream
-from helpers import steps_consistent
+from helpers import range_search_oracle, steps_consistent
 
 REAL_BITS = (2, 3, 4, 6, 8)
 
@@ -162,6 +162,127 @@ class TestRangeEstimation:
     def test_candidate_count_validated(self):
         with pytest.raises(ConfigError):
             estimate_range_mse(np.ones(4), 4, num_candidates=1)
+
+
+def _with_negative_zeros(w):
+    w = w.copy()
+    w.ravel()[::3] = -0.0
+    return w
+
+
+# tensor layouts the blocked kernel must read exactly as quantize does
+SEARCH_LAYOUTS = {
+    "c-order": lambda w: w,
+    "f-order": np.asfortranarray,
+    "strided": lambda w: w[:, ::2],
+    "reversed": lambda w: w[::-1],
+    "transposed": lambda w: w.T,
+    "non-negative": np.abs,
+    "negative-zeros": _with_negative_zeros,
+}
+SEARCH_SHAPES = ((32, 64), (64, 10), (3, 5), (1, 1))
+SEARCH_TIES = {
+    "exact-grid": np.array([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.1]),
+    "two-point": np.array([-1.0, 1.0] * 50),
+    "quarter-grid": np.round(RngStream(8).normal((20, 30)) * 4) / 4,
+}
+
+
+def assert_matches_oracle(w, bits, signed, num_candidates):
+    spec, steps, mses = range_search_oracle(w, bits, signed, num_candidates)
+    got = candidate_mse(w, np.array(steps), bits, signed)
+    assert got.tobytes() == np.array(mses).tobytes()
+    assert estimate_range_mse(w, bits, signed, num_candidates) == spec
+
+
+class TestRangeKernel:
+    """The blocked search equals one ``quantize`` call per candidate, bit for
+    bit: every candidate's MSE and the chosen spec."""
+
+    @pytest.mark.parametrize("layout", sorted(SEARCH_LAYOUTS))
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES,
+                             ids=["x".join(map(str, s)) for s in SEARCH_SHAPES])
+    def test_layouts_match_oracle(self, layout, shape):
+        w = SEARCH_LAYOUTS[layout](RngStream(sum(shape)).normal(shape))
+        for bits in REAL_BITS:
+            for signed in (True, False):
+                for num_candidates in (2, 3, 100, 257):
+                    assert_matches_oracle(w, bits, signed, num_candidates)
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_TIES))
+    def test_exact_ties_match_oracle(self, case):
+        for bits in REAL_BITS:
+            for signed in (True, False):
+                for num_candidates in (2, 3, 100, 257):
+                    assert_matches_oracle(SEARCH_TIES[case], bits, signed,
+                                          num_candidates)
+
+    def test_tensor_larger_than_one_block(self):
+        w = RngStream(9).normal((160, 128))
+        for bits in REAL_BITS:
+            assert_matches_oracle(w, bits, True, 100)
+
+    def test_unsigned_search_on_negative_input(self):
+        w = -np.abs(RngStream(10).normal(64))
+        for bits in REAL_BITS:
+            spec = estimate_range_mse(w, bits, signed=False)
+            assert spec == range_search_oracle(w, bits, False)[0]
+            # every candidate snaps w to 0, so the tie keeps the full range
+            assert spec == make_spec(float(np.max(np.abs(w))), bits, signed=False)
+
+    def test_all_zero_tensor_matches_oracle(self):
+        for signed in (True, False):
+            spec = estimate_range_mse(np.zeros((4, 4)), 3, signed=signed)
+            assert spec.default_range
+            assert spec == range_search_oracle(np.zeros((4, 4)), 3, signed)[0]
+
+    def test_subnormal_tensor_matches_oracle(self):
+        for bits in REAL_BITS:
+            assert_matches_oracle(np.array([1e-318, -3e-319]), bits, True, 100)
+        # the smallest candidate steps underflow to zero, as in the oracle
+        with pytest.raises(ConfigError,
+                           match="quantizer step must be positive, got 0.0"):
+            estimate_range_mse(np.full(4, 1e-320), 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        w = np.ones(8)
+        w[3] = bad
+        expected = "nan" if np.isnan(bad) else "inf"
+        with pytest.raises(ConfigError,
+                           match=f"range_max must be positive, got {expected}"):
+            estimate_range_mse(w, 4)
+
+
+# float.hex of the steps the search picks at bits 2, 3, 4, 6, 8 for
+# RngStream(seed).normal(shape) (made non-negative where marked), recorded
+# from the one-quantize-call-per-candidate search.
+GOLDEN_SEARCH = {
+    (11, (32, 64), True, False): [
+        "0x1.0c835e2876908p+0", "0x1.2c45d4a65e0cfp-1", "0x1.5a77f55d80365p-2",
+        "0x1.9b4aafa8cd0d5p-4", "0x1.b02182a9071e4p-6"],
+    (12, (64, 10), True, False): [
+        "0x1.060c00944d217p+0", "0x1.307938bfd115dp-1", "0x1.5643ebdbd274ep-2",
+        "0x1.6f1b6e869d9a3p-4", "0x1.794ce3bfee0bep-6"],
+    (13, (20, 64), False, False): [
+        "0x1.4b7a240738655p-1", "0x1.8c7376c8d9235p-2", "0x1.0303c1a8c47a1p-2",
+        "0x1.1cdb7f1142e44p-4", "0x1.223667af78778p-6"],
+    (14, (300,), True, False): [
+        "0x1.06a0bfa12eea6p+0", "0x1.33b9c4175dc27p-1", "0x1.599f7617b8c13p-2",
+        "0x1.821ca09ce4214p-4", "0x1.910de8d5663f2p-6"],
+    (15, (20, 64), False, True): [
+        "0x1.499d1bec2df23p-1", "0x1.5feb1be32394fp-2", "0x1.7ff897188491bp-3",
+        "0x1.b42e3832c389bp-5", "0x1.b3672d9a42814p-7"],
+}
+
+
+@pytest.mark.parametrize("seed,shape,signed,relu", sorted(GOLDEN_SEARCH))
+def test_range_search_matches_golden_steps(seed, shape, signed, relu):
+    w = RngStream(seed).normal(shape)
+    if relu:
+        w = np.maximum(w, 0.0)
+    got = [estimate_range_mse(w, b, signed=signed).step.hex() for b in REAL_BITS]
+    assert got == GOLDEN_SEARCH[(seed, shape, signed, relu)]
 
 
 class TestRescale:

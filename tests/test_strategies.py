@@ -1,9 +1,14 @@
 """Local training variants, bit sampling and step calibration."""
 
+import os
+
 import numpy as np
 import pytest
 
+from fedquant.config import (build_data, build_fed_config, build_strategy,
+                             hidden_widths, load_config)
 from fedquant.errors import ConfigError, DivergedError
+from fedquant.federation import init_state, make_calibration_batch
 from fedquant.mlp import Batch, backward, forward, init_params, kure_gradient
 from fedquant.quantize import quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
@@ -110,6 +115,22 @@ class TestCalibration:
     def test_identity_only_set_yields_empty_tables(self):
         tables = calibrate_steps(make_net(), (32,), None, quantize_acts=False)
         assert all(not t.steps for t in tables.weights)
+
+    def test_trend_tables_match_golden_steps(self):
+        """float.hex of the 2-bit anchor steps calibrated on the trend
+        config's initial weights and calibration batch, recorded from the
+        one-quantize-call-per-candidate search."""
+        doc = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "trend_mqat.json"))
+        data, cfg = build_data(doc), build_fed_config(doc)
+        state = init_state(cfg, build_strategy(doc), data, hidden_widths(doc))
+        assert [t.steps[2].hex() for t in state.step_tables.weights] == [
+            "0x1.0d99dab22bf27p-2", "0x1.8564130f89531p-3"]
+        calib = make_calibration_batch(data.base, cfg.batch_size,
+                                       RngStream(cfg.seed))
+        tables = calibrate_steps(state.params, (2, 3, 4, 6, 8), calib,
+                                 quantize_acts=True)
+        assert [t.steps[2].hex() for t in tables.acts] == ["0x1.04d8a6c386f22p+0"]
 
 
 class TestLocalTrain:
