@@ -149,7 +149,12 @@ def partition_stats(labels: np.ndarray, assignment: list[np.ndarray],
 
 def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Header-less ``label,f1,...,fd`` rows; ragged rows, non-finite values
-    and labels that are not int64 integers are rejected with their line."""
+    and labels that are not int64 integers are rejected with their line.
+
+    Without ``num_classes`` the labels must be exactly 0..K-1, each with at
+    least one row: one stray large label would otherwise size the classifier.
+    The error names the smallest negative label or the first missing class.
+    """
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -179,5 +184,14 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
         raise ConfigError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
     labels = arr[:, 0].astype(np.int64)
-    classes = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(arr[:, 1:], labels, classes)
+    if num_classes is None:
+        present = np.unique(labels)
+        if present[0] < 0:
+            raise ConfigError(f"{path}: label {int(present[0])} is negative")
+        num_classes = int(present[-1]) + 1
+        # sorted distinct labels from 0 are dense until the first gap
+        gaps = np.flatnonzero(present != np.arange(present.size))
+        if gaps.size:
+            raise ConfigError(f"{path}: labels are not dense 0..{num_classes - 1}: "
+                              f"class {int(gaps[0])} has no rows")
+    return Dataset(arr[:, 1:], labels, num_classes)

@@ -181,12 +181,12 @@ def client_batches(data: Dataset, indices: np.ndarray, steps: int,
                    batch_size: int, rng: RngStream) -> list[Batch]:
     """Shuffle the client's indices once, then slice cyclically per step."""
     perm = indices[rng.permutation(indices.size)]
-    batches = []
     take = min(batch_size, perm.size)
-    for k in range(steps):
-        sel = np.take(perm, np.arange(k * take, (k + 1) * take), mode="wrap")
-        batches.append(Batch(data.inputs[sel], data.labels[sel]))
-    return batches
+    # one gather for all steps; step k takes rows k * take .. (k + 1) * take - 1
+    sel = np.take(perm, np.arange(steps * take), mode="wrap")
+    inputs, labels = data.inputs[sel], data.labels[sel]
+    return [Batch(inputs[lo:lo + take], labels[lo:lo + take])
+            for lo in range(0, steps * take, take)]
 
 
 def _resolve_local_steps(cfg: FedConfig, n_local: int) -> int:
@@ -241,6 +241,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
     train = data.base
     selected = sample_clients(cfg.num_clients, cfg.clients_per_round,
                               root.child(Purpose.CLIENT_SAMPLING, t))
+    start_flat = state.params.flatten()
 
     def run_client(client_id: int) -> ClientUpdate:
         indices = data.client_indices(client_id)
@@ -250,7 +251,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
             client_id=client_id, round_idx=t, start_params=state.params,
             step_tables=state.step_tables, eta_c=cfg.eta_c,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
-            rng=root.child(Purpose.NOISE, t, client_id))
+            rng=root.child(Purpose.NOISE, t, client_id), start_flat=start_flat)
         bit = resolve_bits(strat, t, client_id, root)
         sampled = bit if strat.kind == "mqat" else None
         return local_train(task, strat, sampled_bit=sampled)
@@ -339,8 +340,9 @@ def save_checkpoint(path: str, state: ServerState, config: dict) -> None:
         "adam_v": None if state.adam_v is None else state.adam_v.tolist(),
         "step_tables": _tables_to_json(state.step_tables),
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

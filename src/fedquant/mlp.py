@@ -13,6 +13,7 @@ weight tensors toward a flat distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,15 @@ class ParamSet:
     def weights(self) -> list[np.ndarray]:
         return [w for w, _ in self.layers]
 
+    @classmethod
+    def _trusted(cls, layers: list[tuple[np.ndarray, np.ndarray]]) -> "ParamSet":
+        """Wrap float64 layers already known to chain, without re-checking."""
+        params = cls.__new__(cls)
+        params.layers = layers
+        return params
+
     def copy(self) -> "ParamSet":
-        return ParamSet([(w.copy(), b.copy()) for w, b in self.layers])
+        return ParamSet._trusted([(w.copy(), b.copy()) for w, b in self.layers])
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([np.ravel(t) for pair in self.layers for t in pair])
@@ -85,7 +93,7 @@ class ParamSet:
             wt = vec[pos:pos + w.size].reshape(w.shape); pos += w.size
             bt = vec[pos:pos + b.size].copy(); pos += b.size
             out.append((wt.copy(), bt))
-        return ParamSet(out)
+        return ParamSet._trusted(out)
 
     def add_scaled(self, other: "ParamSet", scale: float) -> None:
         """In-place self += scale * other (used for SGD steps and regularizers)."""
@@ -106,7 +114,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("matmul result contains non-finite values")
     return out
 
@@ -164,9 +172,10 @@ class ForwardCache:
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1))
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
     n = logits.shape[0]
-    loss = float(np.mean(lse - shifted[np.arange(n), labels]))
+    # np.mean of a vector is this sum over n, without its Python wrapper
+    loss = float(np.add.reduce(lse - shifted[np.arange(n), labels]) / n)
     probs = np.exp(shifted - lse[:, None])
     return loss, probs
 
@@ -203,14 +212,15 @@ def forward(params: ParamSet, batch: Batch, plan: QuantPlan = PLAIN_PLAN,
         w_eff = _apply(w, plan.weights, l, rng)
         layer_inputs.append(a)
         eff_weights.append(w_eff)
-        h = matmul(a, w_eff) + b
+        h = matmul(a, w_eff)
+        h += b
         pre_acts.append(h)
         if l < n_layers - 1:
             r = np.maximum(h, 0.0)
             relu_raw.append(r)
             a = _apply(r, plan.acts, l, rng)
     loss, probs = _softmax_ce(pre_acts[-1], batch.labels)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError("forward produced a non-finite loss")
     cache = ForwardCache(plan=plan, batch=batch,
                          raw_weights=[w for w, _ in params.layers],
@@ -248,7 +258,7 @@ def backward(cache: ForwardCache,
             if extra_act_grads is not None and extra_act_grads[l - 1] is not None:
                 da = da + extra_act_grads[l - 1]
             dh = da * (cache.pre_acts[l - 1] > 0.0)
-    return ParamSet(grads)
+    return ParamSet._trusted(grads)
 
 
 def kurtosis(w: np.ndarray) -> float:
@@ -309,7 +319,7 @@ def kure_terms(params: ParamSet, k_tau: float) -> tuple[float, ParamSet]:
         k, dk = _kurtosis_with_gradient(w)
         penalties.append((k - k_tau) ** 2)
         grads.append(((2.0 * (k - k_tau) / m) * dk, np.zeros_like(b)))
-    return float(np.mean(penalties)), ParamSet(grads)
+    return float(np.mean(penalties)), ParamSet._trusted(grads)
 
 
 def kure_loss(params: ParamSet, k_tau: float) -> float:

@@ -79,17 +79,28 @@ def make_spec(range_max: float, bits: int, signed: bool = True,
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (np.round ties to even)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to nearest integer, ties away from zero (np.round ties to even).
+
+    ``x`` is an array; the result is a new one, computed in place.
+    """
+    k = np.abs(x)
+    k += 0.5
+    np.floor(k, out=k)
+    k *= np.sign(x)
+    return k
 
 
 def quantize(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Snap ``w`` onto the spec's grid: step * clip(round(w/step), lo, hi)."""
-    if not np.all(np.isfinite(w)):
+    w = np.asarray(w, dtype=np.float64)
+    if not np.isfinite(w).all():
         raise NumericError("cannot quantize non-finite values")
-    k = np.clip(round_half_away(np.asarray(w, dtype=np.float64) / spec.step),
-                spec.grid_min, spec.grid_max)
-    return spec.step * k
+    k = round_half_away(w / spec.step)
+    # ndarray.clip is np.clip without its dispatch; it also keeps np.clip's
+    # sign of zero, which np.maximum does not (-0.0 against a grid floor of 0)
+    k.clip(*grid_bounds(spec.bits, spec.signed), out=k)
+    k *= spec.step
+    return k
 
 
 _BLOCK_ELEMENTS = 16384  # candidate rows x tensor elements per kernel pass
@@ -186,8 +197,11 @@ def pseudo_quantize(w: np.ndarray, step: float, rng: RngStream) -> np.ndarray:
 
 def ste_mask(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Boolean mask of elements whose pre-image lies inside the clip range."""
+    lo, hi = grid_bounds(spec.bits, spec.signed)
     ratio = np.asarray(w, dtype=np.float64) / spec.step
-    return (ratio >= spec.grid_min) & (ratio <= spec.grid_max)
+    inside = ratio >= lo
+    inside &= ratio <= hi
+    return inside
 
 
 def ste_backward(grad_out: np.ndarray, w: np.ndarray, spec: QuantSpec) -> np.ndarray:

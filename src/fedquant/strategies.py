@@ -96,7 +96,11 @@ class StepTables:
 
 @dataclass
 class ClientTask:
-    """One client's work order for one round."""
+    """One client's work order for one round.
+
+    ``start_flat`` is ``start_params.flatten()``; a round flattens its global
+    parameters once and shares the vector with every client.
+    """
 
     client_id: int
     round_idx: int
@@ -105,10 +109,13 @@ class ClientTask:
     eta_c: float
     batches: list[Batch]
     rng: RngStream
+    start_flat: np.ndarray | None = None
 
     def __post_init__(self):
         if self.local_steps < 1 or not self.eta_c > 0:
             raise ConfigError("need at least one batch and eta_c > 0")
+        if self.start_flat is None:
+            self.start_flat = self.start_params.flatten()
 
     @property
     def local_steps(self) -> int:
@@ -220,7 +227,6 @@ def local_train(task: ClientTask, strat: StrategyConfig,
     noise_rng = task.rng.child(Purpose.NOISE) if plan.needs_rng else None
     regularize = strat.kind == "kure" and strat.lam != 0.0
     params = task.start_params.copy()
-    start_flat = task.start_params.flatten()
     trace: list[float] = []
     # overflow leaves inf/NaN for the next forward or the final check to report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,8 +250,8 @@ def local_train(task: ClientTask, strat: StrategyConfig,
                     round_idx=task.round_idx, client_id=task.client_id) from exc
             params.add_scaled(grads, -task.eta_c)
             trace.append(float(loss))
-        delta = params.flatten() - start_flat
-    if not (np.all(np.isfinite(delta)) and all(map(math.isfinite, trace))):
+        delta = params.flatten() - task.start_flat
+    if not (np.isfinite(delta).all() and all(map(math.isfinite, trace))):
         raise DivergedError(f"client {task.client_id} loss or update non-finite",
                             round_idx=task.round_idx, client_id=task.client_id)
     return ClientUpdate(client_id=task.client_id, delta=delta,

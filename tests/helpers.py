@@ -1,9 +1,20 @@
-"""Checks shared by the test modules; the library does not need them."""
+"""Checks shared by the test modules; the library does not need them.
+
+The ``*_oracle`` functions keep earlier, plainer forms of library code that
+was since rewritten for speed; the tests require the rewrites to match them
+bit for bit.
+"""
+
+import json
 
 import numpy as np
 
-from fedquant.mlp import ParamSet
-from fedquant.quantize import StepTable, make_spec, quantize
+from fedquant.errors import NumericError
+from fedquant.federation import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                 _tables_to_json, config_hash)
+from fedquant.mlp import Batch, ParamSet
+from fedquant.quantize import QuantSpec, StepTable, make_spec
+from fedquant.rng import _GOLDEN, _MIX1, _MIX2
 
 
 def check_gradients(params: ParamSet, loss_fn, analytic: ParamSet,
@@ -51,7 +62,7 @@ def range_search_oracle(w: np.ndarray, bits: int, signed: bool = True,
     best_spec, best_mse, steps, mses = None, np.inf, [], []
     for j in range(num_candidates, 0, -1):
         spec = make_spec(absmax * (j / num_candidates), bits, signed)
-        err = quantize(w, spec) - w
+        err = quantize_oracle(w, spec) - w
         mse = float(np.mean(err * err))
         steps.append(spec.step)
         mses.append(mse)
@@ -59,3 +70,74 @@ def range_search_oracle(w: np.ndarray, bits: int, signed: bool = True,
             best_mse = mse
             best_spec = spec
     return best_spec, steps, mses
+
+
+def raw_draws_oracle(key: int, counter: int, n: int) -> np.ndarray:
+    """``RngStream._raw``: splitmix64 of key + i * golden for counters
+    counter + 1 .. counter + n, as one uint64 numpy pass."""
+    state = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    state *= np.uint64(_GOLDEN)
+    state += np.uint64(key)
+    t = np.empty_like(state)
+    state ^= np.right_shift(state, np.uint64(30), out=t)
+    state *= np.uint64(_MIX1)
+    state ^= np.right_shift(state, np.uint64(27), out=t)
+    state *= np.uint64(_MIX2)
+    state ^= np.right_shift(state, np.uint64(31), out=t)
+    return state
+
+
+def uniform_oracle(key: int, counter: int, shape: tuple[int, ...]) -> np.ndarray:
+    raw = raw_draws_oracle(key, counter, int(np.prod(shape)) if shape else 1)
+    raw >>= np.uint64(11)
+    return (raw * (2.0 ** -53)).reshape(shape)
+
+
+def integers_oracle(key: int, counter: int, upper: int, n: int) -> np.ndarray:
+    return (raw_draws_oracle(key, counter, n) % np.uint64(upper)).astype(np.int64)
+
+
+def quantize_oracle(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """``quantize`` as step * clip(sign(x) * floor(|x| + 0.5), lo, hi)."""
+    if not np.all(np.isfinite(w)):
+        raise NumericError("cannot quantize non-finite values")
+    x = np.asarray(w, dtype=np.float64) / spec.step
+    k = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), spec.grid_min, spec.grid_max)
+    return spec.step * k
+
+
+def ste_mask_oracle(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    ratio = np.asarray(w, dtype=np.float64) / spec.step
+    return (ratio >= spec.grid_min) & (ratio <= spec.grid_max)
+
+
+def client_batches_oracle(data, indices: np.ndarray, steps: int,
+                          batch_size: int, rng) -> list[Batch]:
+    """``federation.client_batches`` with one gather per step."""
+    perm = indices[rng.permutation(indices.size)]
+    batches = []
+    take = min(batch_size, perm.size)
+    for k in range(steps):
+        sel = np.take(perm, np.arange(k * take, (k + 1) * take), mode="wrap")
+        batches.append(Batch(data.inputs[sel], data.labels[sel]))
+    return batches
+
+
+def checkpoint_oracle(path: str, state, config: dict) -> None:
+    """``federation.save_checkpoint`` streaming through ``json.dump``."""
+    doc = {
+        "magic": CHECKPOINT_MAGIC,
+        "version": CHECKPOINT_VERSION,
+        "round": state.round_idx,
+        "config_hash": config_hash(config),
+        "config": config,
+        "widths": state.params.widths,
+        "layers": [{"weight": w.tolist(), "bias": b.tolist()}
+                   for w, b in state.params.layers],
+        "adam_m": None if state.adam_m is None else state.adam_m.tolist(),
+        "adam_v": None if state.adam_v is None else state.adam_v.tolist(),
+        "step_tables": _tables_to_json(state.step_tables),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")

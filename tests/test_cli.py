@@ -311,6 +311,7 @@ MALFORMED_INPUTS = {
         "--set", "eval.weight_bits=[2]"),
     "csv-nan-feature": _csv_data("1,0.5,nan,0.5,0.5,0.5,0.5"),
     "csv-nan-label": _csv_data("nan,0.5,0.5,0.5,0.5,0.5,0.5"),
+    "csv-sparse-label": _csv_data("50000,0.5,0.5,0.5,0.5,0.5,0.5"),
     "config-list-root-with-override": _config_root([]),
     "config-string-root-with-override": _config_root("abc"),
     "override-str-as-int": _override('federation.total_rounds="abc"'),

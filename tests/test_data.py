@@ -161,6 +161,25 @@ class TestCsv:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:2: {reason}")):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("labels,reason", [
+        ("0,1,2,50000", "labels are not dense 0..50000: class 3 has no rows"),
+        ("1,2,1", "labels are not dense 0..2: class 0 has no rows"),
+        ("0,2,2,0", "labels are not dense 0..2: class 1 has no rows"),
+        ("0,-1,1,-3", "label -3 is negative"),
+    ])
+    def test_labels_not_dense_rejected_naming_the_first_missing_class(
+            self, tmp_path, labels, reason):
+        path = tmp_path / "sparse.csv"
+        path.write_text("".join(f"{y},0.5,1.5\n" for y in labels.split(",")))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {reason}")):
+            load_csv(str(path))
+
+    def test_sparse_labels_allowed_with_explicit_classes(self, tmp_path):
+        path = tmp_path / "sparse.csv"
+        path.write_text("0,0.5\n3,1.5\n")
+        ds = load_csv(str(path), num_classes=5)
+        assert ds.num_classes == 5 and ds.labels.tolist() == [0, 3]
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("\n")

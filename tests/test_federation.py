@@ -6,12 +6,14 @@ import pytest
 from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
 from fedquant.errors import AggregationError, ConfigError
 from fedquant.federation import (FedConfig, ServerState, aggregate,
-                                 evaluate_global, init_state, load_checkpoint,
-                                 run, sample_clients, save_checkpoint,
-                                 server_step, step_round)
-from fedquant.mlp import Batch, backward, forward, init_params
+                                 client_batches, evaluate_global, init_state,
+                                 load_checkpoint, run, sample_clients,
+                                 save_checkpoint, server_step, step_round)
+from fedquant.mlp import Batch, ParamSet, backward, forward, init_params
+from fedquant.quantize import StepTable
 from fedquant.rng import Purpose, RngStream
-from fedquant.strategies import ClientUpdate, StrategyConfig
+from fedquant.strategies import ClientUpdate, StepTables, StrategyConfig
+from helpers import checkpoint_oracle, client_batches_oracle
 
 
 def tiny_fed_data(seed=0, classes=4, dim=8, per_class=40, clients=8, sep=3.0,
@@ -267,11 +269,56 @@ class TestCheckpoint:
         assert [t.steps for t in loaded.step_tables.weights] == \
                [t.steps for t in state.step_tables.weights]
 
+    def test_bytes_match_the_streamed_encoder(self, tmp_path):
+        """One ``json.dumps`` writes what ``json.dump`` streamed, byte for byte."""
+        w = RngStream(4).normal((5, 3)) * 10.0 ** np.arange(-2, 3)[:, None]
+        w[0, :] = [-0.0, 5e-324, 1e300]
+        params = ParamSet([(w, np.array([0.1, -2.5, 1 / 3])),
+                           (RngStream(5).normal((3, 2)), np.zeros(2))])
+        tables = StepTables(weights=[StepTable({2: 0.1, 4: 0.1 / 5}),
+                                     StepTable({2: 1e-7})],
+                            acts=[StepTable({3: 2.5})])
+        config = {"seed": 7, "name": "caf\u00e9 \"quoted\"", "bits": [2, 4, 32],
+                  "eta": 0.05, "nested": {"none": None, "flag": True}}
+        for adam in (None, RngStream(6).uniform(params.dim)):
+            state = ServerState(round_idx=3, params=params, adam_m=adam,
+                                adam_v=None if adam is None else adam * adam,
+                                step_tables=tables if adam is None else None)
+            got, want = tmp_path / "got.json", tmp_path / "want.json"
+            save_checkpoint(str(got), state, config)
+            checkpoint_oracle(str(want), state, config)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "not_ckpt.json"
         path.write_text('{"magic": "something-else"}')
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
+
+
+class TestClientBatches:
+    """All steps come from one gather; each batch must equal the per-step
+    gather of ``helpers.client_batches_oracle``."""
+
+    @pytest.mark.parametrize("size,steps,batch", [
+        (50, 3, 20),   # steps x batch wraps past the client's data
+        (7, 4, 20),    # a batch larger than the client: every step is all of it
+        (40, 2, 20),   # exactly one pass
+        (1, 3, 5),
+        (13, 1, 4),
+    ])
+    def test_matches_per_step_gather(self, size, steps, batch):
+        data = tiny_fed_data(seed=2).base
+        indices = np.sort(RngStream(size).permutation(data.size)[:size])
+        got = client_batches(data, indices, steps, batch, RngStream(9, (size,)))
+        want = client_batches_oracle(data, indices, steps, batch,
+                                     RngStream(9, (size,)))
+        assert len(got) == len(want) == steps
+        for g, w in zip(got, want):
+            assert g.size == w.size == min(batch, size)
+            assert g.inputs.tobytes() == w.inputs.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
+            assert g.inputs.flags.c_contiguous
 
 
 class TestEvaluateGlobal:

@@ -9,7 +9,8 @@ from fedquant.quantize import (IDENTITY_BITS, QuantSpec, StepTable,
                                pseudo_quantize, quantize, rescale_step,
                                round_half_away, ste_backward, ste_mask)
 from fedquant.rng import RngStream
-from helpers import range_search_oracle, steps_consistent
+from helpers import (quantize_oracle, range_search_oracle, ste_mask_oracle,
+                     steps_consistent)
 
 REAL_BITS = (2, 3, 4, 6, 8)
 
@@ -374,3 +375,58 @@ class TestSTE:
         w = np.array([-2.0, -2.0001, 1.0, 1.0001])
         mask = ste_mask(w, spec)
         assert mask.tolist() == [True, False, True, False]
+
+
+def _edge_values(spec):
+    """Grid points, ties, both zeros, the clip edges and their neighbours."""
+    lo, hi = spec.grid_min, spec.grid_max
+    k = np.arange(lo - 3, hi + 4, dtype=np.float64)
+    ratios = np.concatenate([k, k + 0.5, k - 0.5, [0.0, -0.0, 0.3, -0.3, 0.49999999,
+                                                 -0.49999999, 1e-300, -1e-300]])
+    values = np.concatenate([ratios * spec.step,
+                             [5e-324, -5e-324, 1e300, -1e300, 0.0, -0.0]])
+    edges = np.array([lo, hi, lo - 0.5, hi + 0.5], dtype=np.float64) * spec.step
+    return np.concatenate([values, np.nextafter(edges, np.inf),
+                           np.nextafter(edges, -np.inf)])
+
+
+class TestFastPathOracle:
+    """``quantize`` and ``ste_mask`` run in place; the bits must be those of
+    the plain expressions kept in ``helpers``."""
+
+    @pytest.mark.parametrize("bits", REAL_BITS)
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_quantize_and_mask_match_at_every_width(self, bits, signed):
+        rng = RngStream(bits, (int(signed),))
+        for step in (1.0, 0.1, 0.37, 3e-3, 2.0 ** -20, 7e5):
+            spec = QuantSpec(bits=bits, step=step, signed=signed)
+            random = rng.normal((16, 24)) * step * spec.grid_max * 0.8
+            for w in (_edge_values(spec), random, random.T, random[::2, 3:17:3],
+                      np.asfortranarray(random), random.reshape(-1)[::-1]):
+                got = quantize(w, spec)
+                want = quantize_oracle(w, spec)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                mask = ste_mask(w, spec)
+                assert mask.tobytes() == ste_mask_oracle(w, spec).tobytes()
+
+    def test_input_is_not_written(self):
+        spec = QuantSpec(bits=3, step=0.25)
+        w = RngStream(0).normal((5, 7))
+        before = w.copy()
+        quantize(w, spec)
+        ste_mask(w, spec)
+        assert w.tobytes() == before.tobytes()
+
+    def test_integer_and_list_input(self):
+        spec = QuantSpec(bits=4, step=0.5, signed=False)
+        for w in (np.arange(-6, 12).reshape(3, 6), [[-1.2, 0.3, 7.75, 9.0]]):
+            assert quantize(w, spec).tobytes() == quantize_oracle(w, spec).tobytes()
+            assert ste_mask(w, spec).tobytes() == ste_mask_oracle(w, spec).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_still_rejected(self, bad):
+        w = np.ones((3, 3))
+        w[1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            quantize(w, QuantSpec(bits=2, step=0.5))

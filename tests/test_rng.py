@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedquant.rng import RngStream
+from fedquant.rng import Purpose, RngStream
+from helpers import integers_oracle, raw_draws_oracle, uniform_oracle
 
 
 class TestDeterminism:
@@ -118,3 +119,79 @@ class TestDistributions:
             assert p.shape == (10,)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0)
+
+
+# counters at the start, past 32 bits and close enough to 2**64 that a draw
+# of up to 64 values wraps around
+COUNTERS = (0, 2 ** 32, 2 ** 64 - 40)
+
+
+class TestDrawOracle:
+    """Small draws hash in Python ints, larger ones in numpy; both must give
+    the bits of the single numpy pass in ``helpers.raw_draws_oracle``."""
+
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_raw_uniform_and_integers_match_for_every_small_size(self, counter):
+        for n in range(1, 65):
+            for kind in ("raw", "uniform", "integers"):
+                s = RngStream(1729, (4, 99, n))
+                s._counter = counter
+                if kind == "raw":
+                    got, want = s._raw(n), raw_draws_oracle(s._key, counter, n)
+                elif kind == "uniform":
+                    got, want = s.uniform(n), uniform_oracle(s._key, counter, (n,))
+                else:
+                    got, want = s.integers(6, n), integers_oracle(s._key, counter, 6, n)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (kind, n)
+                assert s._counter == counter + n
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3, 4), (2, 1, 5), (0,), (13,)])
+    def test_uniform_shapes_match(self, shape):
+        s = RngStream(5, (2,))
+        got = s.uniform(shape)
+        assert got.shape == shape
+        assert got.tobytes() == uniform_oracle(s._key, 0, shape).tobytes()
+
+    def test_consecutive_draws_continue_the_counter(self):
+        s = RngStream(3, (1,))
+        parts = [s.uniform(n) for n in (1, 12, 13, 2, 64)]
+        want = uniform_oracle(RngStream(3, (1,))._key, 0, (92,))
+        assert np.concatenate(parts).tobytes() == want.tobytes()
+
+
+class TestChild:
+    """``child`` folds the new path entries into the parent's key."""
+
+    PATHS = [(), (0,), (Purpose.BATCH, 7, 3), (-1, 2 ** 64 + 5), (2 ** 70,)]
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2 ** 64 + 1])
+    def test_nested_children_match_the_full_path(self, seed):
+        for first in self.PATHS:
+            for second in self.PATHS:
+                via_child = RngStream(seed, (Purpose.NOISE,)).child(*first).child(*second)
+                full = (Purpose.NOISE, *first, *second)
+                direct = RngStream(seed, full)
+                assert via_child.root_seed == direct.root_seed
+                assert via_child.path == direct.path == tuple(int(p) for p in full)
+                assert via_child._key == direct._key
+                assert via_child.uniform(20).tobytes() == direct.uniform(20).tobytes()
+
+    def test_child_starts_a_fresh_counter(self):
+        parent = RngStream(2, (1,))
+        parent.uniform(5)
+        assert parent.child(3).uniform(4).tobytes() == \
+            RngStream(2, (1, 3)).uniform(4).tobytes()
+
+    def test_child_constructs_through_init(self, monkeypatch):
+        # the benchmark counts stream derivations at RngStream.__init__
+        calls = []
+        init = RngStream.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "__init__", counting)
+        RngStream(1).child(2).child(3, 4)
+        assert len(calls) == 3

@@ -69,3 +69,36 @@ def test_traced_run_sees_every_client_task(tmp_path):
     assert {"mlp.forward", "mlp.backward", "quantize.fake_quant", "quantize.ste",
             "tensors.matmul", "mlp.predict_logits"} <= names
     assert len(clock.round_seconds()) == ROUNDS
+
+
+def test_span_granularity_is_pinned(tmp_path):
+    """Each per-layer metric counts one call per unit of work: one forward and
+    one backward per local step, two matmuls per forward (the two layers of
+    ``TRACED``) and three stream derivations per client and round (batch,
+    noise and bit choice). The next round's client-sampling stream is derived
+    before ``sample_clients`` starts that round, so it counts to this one."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TRACED))
+    clock, tracer = spans.RoundClock(), spans.Tracer()
+    with spans.patched(clock.hooks() + tracer.hooks(clock)):
+        assert main(["run", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "out")]) == 0
+    records = tracer.take()
+    name, parent, rnd = spans.NAME, spans.PARENT, spans.ROUND
+
+    def under(rec, outer):
+        return rec[parent] is not None and rec[parent][name] == outer
+
+    tasks = [r for r in records if r[name] == "strategies.local_train"]
+    steps = sum(r[spans.AUX] for r in tasks)
+    for inner in ("mlp.forward", "mlp.backward"):
+        assert sum(under(r, "strategies.local_train") for r in records
+                   if r[name] == inner) == steps
+    forwards = [r for r in records if r[name] == "mlp.forward"
+                and under(r, "strategies.local_train")]
+    for fwd in forwards:
+        assert sum(r[parent] is fwd for r in records
+                   if r[name] == "tensors.matmul") == 2
+    derived = [sum(r[name] == "rng.init" and r[rnd] == t for r in records)
+               for t in range(ROUNDS)]
+    assert derived == [3 * PER_ROUND + 1] * (ROUNDS - 1) + [3 * PER_ROUND]
