@@ -8,8 +8,7 @@ from .evaluation import BitConfig, EvalReport, evaluate, quantize_for_eval, swee
 from .federation import (FedConfig, ServerState, TrainingHistory, aggregate,
                          init_state, load_checkpoint, run, sample_clients,
                          save_checkpoint, server_step, step_round)
-from .mlp import (Batch, ParamSet, QuantPlan, backward, forward, init_params,
-                  kure_gradient, kure_loss, kurtosis)
+from .mlp import Batch, ParamSet, QuantPlan, backward, forward, init_params
 from .quantize import (QuantSpec, StepTable, estimate_range_mse, make_spec,
                        pseudo_quantize, quantize, rescale_step, ste_backward)
 from .rng import Purpose, RngStream

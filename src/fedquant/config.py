@@ -151,6 +151,9 @@ def validate_config(doc: dict) -> dict:
     merged = _check_section(DEFAULTS, _KINDS, doc, ())
     if merged["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {merged['schema_version']}")
+    # streams key on the seed's low 64 bits, so a wider seed would alias one
+    if not 0 <= merged["seed"] < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {merged['seed']}")
     return merged
 
 

@@ -137,9 +137,8 @@ def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
             weight_specs[bc.weight_bits] = _weight_specs(
                 state, strat, bc.weight_bits, exempt_first_last)
         specs = weight_specs[bc.weight_bits]
-        layers = [(w if s is None else quantize(w, s), b.copy())
-                  for (w, b), s in zip(state.params.layers, specs)]
-        params = ParamSet(layers)
+        params = ParamSet([(w if s is None else quantize(w, s), b)
+                           for (w, b), s in zip(state.params.layers, specs)])
     else:
         params = state.params.copy()
     act_specs = None

@@ -147,7 +147,7 @@ def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
 
 def server_step(state: ServerState, delta: np.ndarray, cfg: FedConfig) -> ServerState:
     """Apply the aggregated delta with the configured server optimizer."""
-    flat = state.params.flatten()
+    flat = state.params.vec
     if delta.shape != flat.shape:
         raise AggregationError("aggregated delta does not match parameter count")
     if cfg.server_opt == "sgd":
@@ -241,7 +241,6 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
     train = data.base
     selected = sample_clients(cfg.num_clients, cfg.clients_per_round,
                               root.child(Purpose.CLIENT_SAMPLING, t))
-    start_flat = state.params.flatten()
 
     def run_client(client_id: int) -> ClientUpdate:
         indices = data.client_indices(client_id)
@@ -251,7 +250,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
             client_id=client_id, round_idx=t, start_params=state.params,
             step_tables=state.step_tables, eta_c=cfg.eta_c,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
-            rng=root.child(Purpose.NOISE, t, client_id), start_flat=start_flat)
+            rng=root.child(Purpose.NOISE, t, client_id))
         bit = resolve_bits(strat, t, client_id, root)
         sampled = bit if strat.kind == "mqat" else None
         return local_train(task, strat, sampled_bit=sampled)
@@ -357,7 +356,7 @@ def _check_restored(state: ServerState, doc: dict) -> None:
     if doc["widths"] != params.widths:
         raise ConfigError(f"widths {doc['widths']!r} do not match the layers "
                           f"({params.widths})")
-    if not np.all(np.isfinite(params.flatten())):
+    if not np.all(np.isfinite(params.vec)):
         raise ConfigError("layers hold non-finite values")
     if (state.adam_m is None) != (state.adam_v is None):
         raise ConfigError("adam_m and adam_v must both be present or both null")

@@ -7,8 +7,8 @@ right before the next matrix multiply. Backward always produces gradients
 with respect to the full-precision (shadow) parameters: rounding is handled
 by the straight-through rule, additive noise is treated as a constant.
 
-Also hosts the kurtosis statistic and the kurtosis regularizer used to push
-weight tensors toward a flat distribution.
+Also hosts the kurtosis regularizer used to push weight and activation
+tensors toward a flat distribution.
 """
 
 from __future__ import annotations
@@ -44,16 +44,28 @@ class Batch:
 
 
 class ParamSet:
-    """Ordered dense layers (weight in x out, bias out) with exact flattening."""
+    """Ordered dense layers (weight in x out, bias out), each a view into one
+    float64 vector ``vec``: weight (row-major) then bias, layer by layer."""
 
     def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
-        self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                       for w, b in layers]
-        for i, (w, b) in enumerate(self.layers):
+        layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                  for w, b in layers]
+        if not layers:
+            raise ShapeError("a ParamSet needs at least one layer")
+        for i, (w, b) in enumerate(layers):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeError(f"layer {i} weight/bias shapes inconsistent")
-            if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
+            if i > 0 and layers[i - 1][0].shape[1] != w.shape[0]:
                 raise ShapeError(f"layer {i-1} output does not chain into layer {i}")
+        self._bind(np.concatenate([np.ravel(t) for pair in layers for t in pair]),
+                   [w.shape for w, _ in layers])
+
+    def _bind(self, vec: np.ndarray, shapes: list[tuple[int, int]]) -> None:
+        self.vec, self.layers, pos = vec, [], 0
+        for rows, cols in shapes:
+            end = pos + rows * cols
+            self.layers.append((vec[pos:end].reshape(rows, cols), vec[end:end + cols]))
+            pos = end + cols
 
     @property
     def num_layers(self) -> int:
@@ -61,7 +73,7 @@ class ParamSet:
 
     @property
     def dim(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
+        return self.vec.size
 
     @property
     def widths(self) -> list[int]:
@@ -70,36 +82,25 @@ class ParamSet:
     def weights(self) -> list[np.ndarray]:
         return [w for w, _ in self.layers]
 
-    @classmethod
-    def _trusted(cls, layers: list[tuple[np.ndarray, np.ndarray]]) -> "ParamSet":
-        """Wrap float64 layers already known to chain, without re-checking."""
-        params = cls.__new__(cls)
-        params.layers = layers
-        return params
-
     def copy(self) -> "ParamSet":
-        return ParamSet._trusted([(w.copy(), b.copy()) for w, b in self.layers])
+        return self.unflatten(self.vec.copy())
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([np.ravel(t) for pair in self.layers for t in pair])
+        """The parameter vector itself, not a copy."""
+        return self.vec
 
     def unflatten(self, vec: np.ndarray) -> "ParamSet":
-        """Rebuild a ParamSet with this one's shapes from a flat vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.dim,):
+        """A ParamSet with this one's shapes over ``vec``, without copying it."""
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+        if vec.shape != self.vec.shape:
             raise ShapeError(f"expected a flat vector of length {self.dim}")
-        out, pos = [], 0
-        for w, b in self.layers:
-            wt = vec[pos:pos + w.size].reshape(w.shape); pos += w.size
-            bt = vec[pos:pos + b.size].copy(); pos += b.size
-            out.append((wt.copy(), bt))
-        return ParamSet._trusted(out)
+        out = ParamSet.__new__(ParamSet)
+        out._bind(vec, [w.shape for w, _ in self.layers])
+        return out
 
     def add_scaled(self, other: "ParamSet", scale: float) -> None:
         """In-place self += scale * other (used for SGD steps and regularizers)."""
-        for (w, b), (ow, ob) in zip(self.layers, other.layers):
-            w += scale * ow
-            b += scale * ob
+        self.vec += scale * other.vec
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,7 +161,7 @@ class ForwardCache:
 
     plan: QuantPlan
     batch: Batch
-    raw_weights: list[np.ndarray]
+    params: ParamSet                    # the shadow parameters forward read
     eff_weights: list[np.ndarray]
     layer_inputs: list[np.ndarray]      # effective input to each matmul
     pre_acts: list[np.ndarray]          # h_l = a_l @ W_l + b_l
@@ -222,8 +223,7 @@ def forward(params: ParamSet, batch: Batch, plan: QuantPlan = PLAIN_PLAN,
     loss, probs = _softmax_ce(pre_acts[-1], batch.labels)
     if not math.isfinite(loss):
         raise NumericError("forward produced a non-finite loss")
-    cache = ForwardCache(plan=plan, batch=batch,
-                         raw_weights=[w for w, _ in params.layers],
+    cache = ForwardCache(plan=plan, batch=batch, params=params,
                          eff_weights=eff_weights, layer_inputs=layer_inputs,
                          pre_acts=pre_acts, relu_raw=relu_raw,
                          probs=probs, loss=loss)
@@ -242,61 +242,30 @@ def backward(cache: ForwardCache,
     cache.consumed = True
     plan = cache.plan
     n = cache.batch.size
-    n_layers = len(cache.raw_weights)
+    params = cache.params
     dlogits = cache.probs.copy()
     dlogits[np.arange(n), cache.batch.labels] -= 1.0
     dh = dlogits / n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        dw = _ste(cache.layer_inputs[l].T @ dh, cache.raw_weights[l],
-                  plan.weights, l)
-        db = dh.sum(axis=0)
-        grads[l] = (dw, db)
+    grads = params.unflatten(np.empty_like(params.vec))
+    for l in range(params.num_layers - 1, -1, -1):
+        gw, gb = grads.layers[l]
+        np.matmul(cache.layer_inputs[l].T, dh, out=gw)
+        if plan.weights and isinstance(plan.weights[l], QuantSpec):
+            gw[...] = ste_backward(gw, params.layers[l][0], plan.weights[l])
+        np.add.reduce(dh, axis=0, out=gb)
         if l > 0:
             da = _ste(dh @ cache.eff_weights[l].T, cache.relu_raw[l - 1],
                       plan.acts, l - 1)
             if extra_act_grads is not None and extra_act_grads[l - 1] is not None:
                 da = da + extra_act_grads[l - 1]
             dh = da * (cache.pre_acts[l - 1] > 0.0)
-    return ParamSet._trusted(grads)
-
-
-def kurtosis(w: np.ndarray) -> float:
-    """Fourth standardized moment E[((w - mean) / std)^4], population std."""
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if w.size < 2:
-        raise DegenerateTensorError("kurtosis needs at least 2 elements")
-    mu = w.mean()
-    var = np.mean((w - mu) ** 2)
-    if var <= 0.0:
-        raise DegenerateTensorError("kurtosis undefined for a constant tensor")
-    return float(np.mean((w - mu) ** 4) / var ** 2)
-
-
-def kurtosis_gradient(w: np.ndarray) -> np.ndarray:
-    """Analytic d kurtosis / dw, chaining through mean and std.
-
-    With c = w - mean, m3 = mean(c^3), K = mean(c^4)/var^2:
-    dK/dw_j = 4/(n*var^2) * (c_j^3 - m3 - K*var*c_j).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    flat = w.ravel()
-    n = flat.size
-    if n < 2:
-        raise DegenerateTensorError("kurtosis needs at least 2 elements")
-    c = flat - flat.mean()
-    var = np.mean(c * c)
-    if var <= 0.0:
-        raise DegenerateTensorError("kurtosis undefined for a constant tensor")
-    m3 = np.mean(c ** 3)
-    k = np.mean(c ** 4) / var ** 2
-    grad = (4.0 / (n * var ** 2)) * (c ** 3 - m3 - k * var * c)
-    return grad.reshape(w.shape)
+    return grads
 
 
 def _kurtosis_with_gradient(t: np.ndarray) -> tuple[float, np.ndarray]:
-    """``kurtosis(t)`` and ``kurtosis_gradient(t)``, bit for bit, from one
-    pass that computes c, c^3 and c^4 once."""
+    """Kurtosis K = E[((t - mean) / std)^4] (population std) of ``t`` and
+    dK/dt_j = 4/(n*var^2) * (c_j^3 - mean(c^3) - K*var*c_j), c = t - mean,
+    from one pass that computes c, c^3 and c^4 once."""
     flat = np.asarray(t, dtype=np.float64).ravel()
     n = flat.size
     if n < 2:
@@ -312,24 +281,16 @@ def _kurtosis_with_gradient(t: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def kure_terms(params: ParamSet, k_tau: float) -> tuple[float, ParamSet]:
-    """``kure_loss`` and ``kure_gradient`` from one pass over the weights."""
+    """Mean over weight tensors of (kurtosis(W) - k_tau)^2, biases excluded,
+    and its gradient (zero bias slots), from one pass over the weights."""
     m = len(params.layers)
-    penalties, grads = [], []
-    for w, b in params.layers:
+    penalties = []
+    grads = params.unflatten(np.zeros_like(params.vec))
+    for (w, _), (gw, _) in zip(params.layers, grads.layers):
         k, dk = _kurtosis_with_gradient(w)
         penalties.append((k - k_tau) ** 2)
-        grads.append(((2.0 * (k - k_tau) / m) * dk, np.zeros_like(b)))
-    return float(np.mean(penalties)), ParamSet._trusted(grads)
-
-
-def kure_loss(params: ParamSet, k_tau: float) -> float:
-    """Mean over weight tensors of |kurtosis(W) - k_tau|^2 (biases excluded)."""
-    return kure_terms(params, k_tau)[0]
-
-
-def kure_gradient(params: ParamSet, k_tau: float) -> ParamSet:
-    """Analytic gradient of kure_loss; bias slots are zero."""
-    return kure_terms(params, k_tau)[1]
+        np.multiply(2.0 * (k - k_tau) / m, dk, out=gw)
+    return float(np.mean(penalties)), grads
 
 
 def act_kure_terms(cache: ForwardCache, k_tau: float

@@ -96,11 +96,7 @@ class StepTables:
 
 @dataclass
 class ClientTask:
-    """One client's work order for one round.
-
-    ``start_flat`` is ``start_params.flatten()``; a round flattens its global
-    parameters once and shares the vector with every client.
-    """
+    """One client's work order for one round."""
 
     client_id: int
     round_idx: int
@@ -109,13 +105,10 @@ class ClientTask:
     eta_c: float
     batches: list[Batch]
     rng: RngStream
-    start_flat: np.ndarray | None = None
 
     def __post_init__(self):
         if self.local_steps < 1 or not self.eta_c > 0:
             raise ConfigError("need at least one batch and eta_c > 0")
-        if self.start_flat is None:
-            self.start_flat = self.start_params.flatten()
 
     @property
     def local_steps(self) -> int:
@@ -250,7 +243,7 @@ def local_train(task: ClientTask, strat: StrategyConfig,
                     round_idx=task.round_idx, client_id=task.client_id) from exc
             params.add_scaled(grads, -task.eta_c)
             trace.append(float(loss))
-        delta = params.flatten() - task.start_flat
+        delta = params.vec - task.start_params.vec
     if not (np.isfinite(delta).all() and all(map(math.isfinite, trace))):
         raise DivergedError(f"client {task.client_id} loss or update non-finite",
                             round_idx=task.round_idx, client_id=task.client_id)

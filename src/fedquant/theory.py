@@ -233,7 +233,7 @@ def _global_loss_grad(params: ParamSet, per_client: list[Batch]
     for batch in per_client:
         loss, cache = forward(params, batch)
         total_loss += loss
-        total_grad += backward(cache).flatten()
+        total_grad += backward(cache).vec
     s = len(per_client)
     return total_loss / s, total_grad / s
 
@@ -242,7 +242,7 @@ def estimate_smoothness(params: ParamSet, per_client: list[Batch],
                         num_pairs: int, radius: float, rng: RngStream,
                         inflation: float = 2.0) -> float:
     """Sampled Lipschitz constant of the global gradient, inflated for safety."""
-    flat = params.flatten()
+    flat = params.vec
     best = 0.0
     for _ in range(num_pairs):
         x = flat + radius * rng.normal(flat.size)
@@ -260,7 +260,7 @@ def estimate_variances(params: ParamSet, per_client: list[Batch],
                        rng: RngStream, inflation: float = 2.0
                        ) -> tuple[float, float]:
     """Sampled (sigma_l^2, sigma_g^2) upper bounds, inflated for safety."""
-    flat = params.flatten()
+    flat = params.vec
     worst_local = 0.0
     worst_global = 0.0
     for _ in range(num_points):
@@ -269,14 +269,14 @@ def estimate_variances(params: ParamSet, per_client: list[Batch],
         gap_sum = 0.0
         for batch in per_client:
             _, cache = forward(w, batch)
-            g_full = backward(cache).flatten()
+            g_full = backward(cache).vec
             gap_sum += float(np.sum((g_full - g_global) ** 2))
             n = batch.size
             for _ in range(3):
                 sel = rng.integers(n, size=min(batch_size, n))
                 mini = Batch(batch.inputs[sel], batch.labels[sel])
                 _, mc = forward(w, mini)
-                g_mini = backward(mc).flatten()
+                g_mini = backward(mc).vec
                 worst_local = max(worst_local,
                                   float(np.sum((g_mini - g_full) ** 2)))
         worst_global = max(worst_global, gap_sum / len(per_client))
@@ -322,7 +322,7 @@ def empirical_bound_check(data: FederatedDataset, hidden: tuple[int, ...],
     eta_c = min(1.0 / (10.0 * L * local_steps), 1.0 / (8.0 * L * local_steps * eta_s))
 
     # one shared generous step per tensor; R uses the largest of them
-    absmax = float(np.max(np.abs(params0.flatten())))
+    absmax = float(np.max(np.abs(params0.vec)))
     grid_top = 2 ** (train_bits - 1) - 1
     step = range_factor * absmax / grid_top
     tables = StepTables(weights=[StepTable({train_bits: step})

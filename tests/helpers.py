@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from fedquant.errors import NumericError
+from fedquant.errors import DegenerateTensorError, NumericError
 from fedquant.federation import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                  _tables_to_json, config_hash)
 from fedquant.mlp import Batch, ParamSet
@@ -141,3 +141,74 @@ def checkpoint_oracle(path: str, state, config: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def flatten_oracle(params: ParamSet) -> np.ndarray:
+    """``ParamSet.flatten`` as a concatenation of each layer's raveled weight
+    and bias, in layer order."""
+    return np.concatenate([np.ravel(t) for pair in params.layers for t in pair])
+
+
+def unflatten_oracle(params: ParamSet, vec: np.ndarray
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``ParamSet.unflatten`` as per-layer copies of the vector's slices."""
+    out, pos = [], 0
+    for w, b in params.layers:
+        out.append((vec[pos:pos + w.size].reshape(w.shape).copy(),
+                    vec[pos + w.size:pos + w.size + b.size].copy()))
+        pos += w.size + b.size
+    return out
+
+
+def add_scaled_oracle(params: ParamSet, other: ParamSet, scale: float) -> None:
+    """``ParamSet.add_scaled`` as one in-place update per layer tensor."""
+    for (w, b), (ow, ob) in zip(params.layers, other.layers):
+        w += scale * ow
+        b += scale * ob
+
+
+def kurtosis(w: np.ndarray) -> float:
+    """Fourth standardized moment E[((w - mean) / std)^4], population std."""
+    w = np.asarray(w, dtype=np.float64).ravel()
+    if w.size < 2:
+        raise DegenerateTensorError("kurtosis needs at least 2 elements")
+    mu = w.mean()
+    var = np.mean((w - mu) ** 2)
+    if var <= 0.0:
+        raise DegenerateTensorError("kurtosis undefined for a constant tensor")
+    return float(np.mean((w - mu) ** 4) / var ** 2)
+
+
+def kurtosis_gradient(w: np.ndarray) -> np.ndarray:
+    """Analytic d kurtosis / dw, chaining through mean and std.
+
+    With c = w - mean, m3 = mean(c^3), K = mean(c^4)/var^2:
+    dK/dw_j = 4/(n*var^2) * (c_j^3 - m3 - K*var*c_j).
+    """
+    w = np.asarray(w, dtype=np.float64)
+    flat = w.ravel()
+    n = flat.size
+    if n < 2:
+        raise DegenerateTensorError("kurtosis needs at least 2 elements")
+    c = flat - flat.mean()
+    var = np.mean(c * c)
+    if var <= 0.0:
+        raise DegenerateTensorError("kurtosis undefined for a constant tensor")
+    m3 = np.mean(c ** 3)
+    k = np.mean(c ** 4) / var ** 2
+    grad = (4.0 / (n * var ** 2)) * (c ** 3 - m3 - k * var * c)
+    return grad.reshape(w.shape)
+
+
+def kure_loss(params: ParamSet, k_tau: float) -> float:
+    """``mlp.kure_terms``'s loss: the mean over weight tensors of
+    (kurtosis(W) - k_tau)^2, biases excluded."""
+    return float(np.mean([(kurtosis(w) - k_tau) ** 2 for w in params.weights()]))
+
+
+def kure_gradient(params: ParamSet, k_tau: float) -> ParamSet:
+    """``mlp.kure_terms``'s gradient: analytic, per weight tensor, with zero
+    bias slots."""
+    m = params.num_layers
+    return ParamSet([((2.0 * (kurtosis(w) - k_tau) / m) * kurtosis_gradient(w),
+                      np.zeros_like(b)) for w, b in params.layers])

@@ -27,15 +27,14 @@ from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
 from fedquant.evaluation import BitConfig, quantize_for_eval, sweep
 from fedquant.federation import FedConfig, make_calibration_batch, run
 from fedquant.mlp import (Batch, ParamSet, QuantPlan, backward, forward,
-                          init_params, kure_gradient, kure_loss, kurtosis,
-                          predict_logits)
+                          init_params, kure_terms, predict_logits)
 from fedquant.quantize import (StepTable, make_spec, pseudo_quantize,
                                quantize, rescale_step, round_half_away)
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import StrategyConfig, calibrate_steps
 from fedquant.theory import (BoundInputs, check_conditions, compute_bound,
                              empirical_bound_check, empirical_noise_bound)
-from helpers import check_gradients, steps_consistent
+from helpers import check_gradients, kurtosis, steps_consistent
 
 
 def report(criterion, ok, detail):
@@ -133,9 +132,9 @@ def test_criterion_3_gradient_correctness():
     lam = 0.3
     _, cache = forward(params, batch)
     kure_grads = backward(cache)
-    kure_grads.add_scaled(kure_gradient(params, 1.8), lam)
+    kure_grads.add_scaled(kure_terms(params, 1.8)[1], lam)
     err_kure = check_gradients(
-        params, lambda p: forward(p, batch)[0] + lam * kure_loss(p, 1.8),
+        params, lambda p: forward(p, batch)[0] + lam * kure_terms(p, 1.8)[0],
         kure_grads)
 
     plan = QuantPlan(weights=[0.2] * params.num_layers)

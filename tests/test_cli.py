@@ -238,6 +238,12 @@ def _override(*items):
     return build
 
 
+def _seedless_run(tmp_path, checkpoint):
+    doc = {key: value for key, value in SMOKE.items() if key != "seed"}
+    return ["run", "--config", write_config(tmp_path, doc), "--quiet",
+            "--out", str(tmp_path / "out")]
+
+
 def _csv_data(bad_row):
     """Table entry: the smoke run on 40 good CSV rows followed by ``bad_row``."""
     def build(tmp_path, checkpoint):
@@ -336,7 +342,12 @@ MALFORMED_INPUTS = {
     "bound-list-root": _bound_config([BOUND_INPUTS]),
     "bound-unknown-key": _bound_config({**BOUND_INPUTS, "bogus": 1}),
     "eval-set-outside-eval": _eval_override("data.class_separation=0.5"),
+    "seed-negative": _override("seed=-1"),
+    "seed-beyond-64-bits": _override("seed=18446744073709551616"),
+    "env-seed-negative": _seedless_run,
 }
+# environment variables a case sets for its run
+MALFORMED_ENV = {"env-seed-negative": {"FEDQUANT_SEED": "-1"}}
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +360,9 @@ def smoke_checkpoint(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys,
-                                                     smoke_checkpoint):
+                                                     monkeypatch, smoke_checkpoint):
+    for name, value in MALFORMED_ENV.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     argv = MALFORMED_INPUTS[case](tmp_path, smoke_checkpoint)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Server loop: sampling, aggregation, optimizer steps, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,70 @@ class TestRun:
         assert np.array_equal(state.params.flatten(), ran.params.flatten())
         for got, want in ((state.adam_m, ran.adam_m), (state.adam_v, ran.adam_v)):
             assert (got is None and want is None) or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("server_opt,strat", [
+        ("sgd", StrategyConfig(kind="kure")),
+        ("adam", StrategyConfig(kind="mqat", bit_set=(2, 4, 32))),
+    ], ids=["sgd-kure", "adam-mqat"])
+    def test_step_round_leaves_the_input_parameters_unchanged(self, server_opt,
+                                                              strat):
+        data = tiny_fed_data(seed=9)
+        cfg = FedConfig(total_rounds=2, num_clients=8, clients_per_round=3,
+                        eta_s=0.5, eta_c=0.05, local_steps=2, batch_size=8,
+                        server_opt=server_opt, seed=17, eval_every=1)
+        state = init_state(cfg, strat, data, (6,))
+        before = state.params.flatten().copy()
+        new, _ = step_round(state, cfg, strat, data, RngStream(cfg.seed))
+        assert state.params.flatten().tobytes() == before.tobytes()
+        assert not np.shares_memory(new.params.flatten(), state.params.flatten())
+        assert new.params.flatten().tobytes() != before.tobytes()
+
+
+# Strategies and server settings that no perfbench digest covers (those
+# pin baseline, mqat per_round and apqn, each with an Adam server). Each run
+# trains an 8-12-10-4 MLP for 5 rounds; the value is the sha256 of the final
+# ``params.flatten()`` bytes and of ``history.csv``. These goldens share the
+# reproducibility domain of ``test_rng.GOLDEN_DRAWS``: they hold on the numpy
+# dispatch level and OpenBLAS core they were recorded on (AVX512, SkylakeX),
+# since ``exp``, ``log`` and ``power`` give other bytes under AVX2 kernels.
+STRATEGY_RUNS = {
+    "kure-weights": ("adam", StrategyConfig(kind="kure")),
+    "kure-acts": ("adam", StrategyConfig(kind="kure", quantize_acts=True)),
+    "qat2": ("adam", StrategyConfig(kind="qat", train_bits=2)),
+    "apqn4-acts": ("adam", StrategyConfig(kind="apqn", train_bits=4,
+                                          quantize_acts=True)),
+    "mqat-fixed-per-client": ("adam", StrategyConfig(
+        kind="mqat", bit_set=(2, 4, 32), mqat_mode="fixed_per_client")),
+    "sgd-server": ("sgd", StrategyConfig()),
+}
+GOLDEN_STRATEGY_RUNS = {
+    "apqn4-acts": ("0d544caf92409c680e5674f5da410c0da3c47fa99368945e8b9926c1f5340b5e",
+        "a06440fbdfb0a1eff9496e61f74965ccf84d8a203323b8470236aec189d90c1b"),
+    "kure-acts": ("6b21bd67f2ad2b242015981d0d69913ce57971cae0ff2aaaad83de78e449a78c",
+        "7ae8c6424c972d6bd49a2ee7dea2aae8347abf3bb10ae4f11816f6e9c606146c"),
+    "kure-weights": ("f33827fda7b254bcbf044c6e79c94b6012a206d2e5f3622a072532b57fcfcec5",
+        "969802a854306f7a1cc116a0e9247f7fc662ebfd0bae10212783540b91d4943d"),
+    "mqat-fixed-per-client": ("f2e02232fb7397ca58155fdc3e4c9d79f6490fe60a606a0128f0330f76476986",
+        "6b5b6f427ee0a97a4bec3e26f076055b18778fbbb8408d2b53e51c341117a1fd"),
+    "qat2": ("f37eb1400ba547722bd8a985044bbfefd61007656992653e9aae41bf15b84b7c",
+        "f96578590e31494a340929fd201d955c81d0f61220eb1795105dddbd99510bc5"),
+    "sgd-server": ("ecccd6357048c36f51b407d88812048c6ea7758d5241160caefe14b5f577c8d1",
+        "58246a7d6af668c3246d00681c9ff48342dbc40703245e5b6bda4f09681a6ad2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRATEGY_RUNS))
+def test_strategy_run_matches_golden_digest(case, tmp_path):
+    server_opt, strat = STRATEGY_RUNS[case]
+    cfg = FedConfig(total_rounds=5, num_clients=8, clients_per_round=4,
+                    eta_s=1.0 if server_opt == "sgd" else 0.05, eta_c=0.05,
+                    batch_size=8, server_opt=server_opt, seed=29, eval_every=1)
+    state, history = run(cfg, strat, tiny_fed_data(seed=10), hidden=(12, 10))
+    path = tmp_path / "history.csv"
+    history.to_csv(str(path))
+    got = (hashlib.sha256(state.params.flatten().tobytes()).hexdigest(),
+           hashlib.sha256(path.read_bytes()).hexdigest())
+    assert got == GOLDEN_STRATEGY_RUNS[case]
 
 
 class TestCheckpoint:

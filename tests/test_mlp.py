@@ -1,18 +1,21 @@
-"""Forward/backward correctness, kurtosis statistics and the regularizer."""
+"""The checked matmul, the flat parameter buffer, forward/backward
+correctness, the kurtosis oracles and the regularizer."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fedquant.errors import DegenerateTensorError, ShapeError, UsageError
+from fedquant.errors import (DegenerateTensorError, NumericError, ShapeError,
+                             UsageError)
 from fedquant.mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
-                          forward, init_params, kure_gradient, kure_loss,
-                          kure_terms, kurtosis, kurtosis_gradient,
+                          forward, init_params, kure_terms, matmul,
                           predict_logits)
 from fedquant.quantize import QuantSpec, make_spec, quantize
 from fedquant.rng import RngStream
-from helpers import check_gradients
+from helpers import (add_scaled_oracle, check_gradients, flatten_oracle,
+                     kure_gradient, kure_loss, kurtosis, kurtosis_gradient,
+                     unflatten_oracle)
 
 
 def small_net(widths, seed=0):
@@ -26,7 +29,126 @@ def random_batch(n, d, classes, seed=1):
     return Batch(x, y)
 
 
+def naive_matmul(a, b):
+    m, k = a.shape
+    k2, n = b.shape
+    out = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            acc = 0.0
+            for t in range(k):
+                acc += a[i, t] * b[t, j]
+            out[i, j] = acc
+    return out
+
+
+class TestMatmul:
+    def test_identity(self):
+        eye = np.eye(2)
+        other = np.array([[3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(matmul(eye, other), other)
+
+    def test_inner_product(self):
+        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 11.0
+
+    def test_matches_triple_loop_oracle(self):
+        rng = RngStream(2024)
+        a = rng.normal((5, 7))
+        b = rng.normal((7, 3))
+        got = matmul(a, b)
+        want = naive_matmul(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_oracle_up_to_64(self):
+        rng = RngStream(5)
+        for m, k, n in [(16, 16, 16), (64, 64, 64), (3, 64, 5)]:
+            a = rng.normal((m, k))
+            b = rng.normal((k, n))
+            got = matmul(a, b)
+            want = naive_matmul(a, b)
+            rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+            assert rel < 1e-10
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError):
+            matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_rank_checked(self):
+        with pytest.raises(ShapeError):
+            matmul(np.ones(3), np.ones((3, 2)))
+
+    def test_inputs_unmodified(self):
+        a = np.ones((2, 2))
+        b = np.ones((2, 2))
+        a_copy, b_copy = a.copy(), b.copy()
+        matmul(a, b)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+
+    def test_check_finite(self):
+        with pytest.raises(NumericError):
+            matmul(np.array([[1e200]]), np.array([[1e200]]))
+        with pytest.raises(NumericError):
+            matmul(np.array([[1.0, np.nan]]), np.ones((2, 1)))
+
+
+BUFFER_SHAPES = {"1-layer": [5, 3], "2-layer": [5, 7, 3],
+                 "3-layer": [4, 6, 5, 2], "wide": [32, 256, 256, 10]}
+
+
 class TestParamSet:
+    def test_flatten_concatenates_row_major(self):
+        params = ParamSet([(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0]))])
+        assert np.array_equal(params.flatten(),
+                              np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+
+    @pytest.mark.parametrize("widths", list(BUFFER_SHAPES.values()),
+                             ids=list(BUFFER_SHAPES))
+    def test_buffer_matches_the_per_layer_oracles(self, widths):
+        params = small_net(widths, seed=2)
+        assert params.flatten().tobytes() == flatten_oracle(params).tobytes()
+        vec = RngStream(3).normal(params.dim)
+        for (w, b), (ow, ob) in zip(params.unflatten(vec).layers,
+                                    unflatten_oracle(params, vec)):
+            assert w.shape == ow.shape and b.shape == ob.shape
+            assert w.tobytes() == ow.tobytes() and b.tobytes() == ob.tobytes()
+        other = small_net(widths, seed=4)
+        got, want = params.copy(), params.copy()
+        got.add_scaled(other, -0.37)
+        add_scaled_oracle(want, other, -0.37)
+        assert got.flatten().tobytes() == flatten_oracle(want).tobytes()
+
+    @pytest.mark.parametrize("widths", list(BUFFER_SHAPES.values()),
+                             ids=list(BUFFER_SHAPES))
+    def test_every_layer_is_a_view_into_the_vector(self, widths):
+        params = small_net(widths, seed=5)
+        _, cache = forward(params, random_batch(6, widths[0], widths[-1]))
+        for made in (params, params.copy(), params.unflatten(np.zeros(params.dim)),
+                     ParamSet(params.layers), backward(cache),
+                     kure_terms(params, 1.8)[1]):
+            assert made.flatten().dtype == np.float64
+            assert made.flatten().shape == (params.dim,)
+            assert all(np.shares_memory(t, made.flatten())
+                       for pair in made.layers for t in pair)
+
+    def test_unflatten_wraps_the_vector_without_copying(self):
+        params = small_net([4, 5, 3])
+        vec = np.zeros(params.dim)
+        wrapped = params.unflatten(vec)
+        assert wrapped.flatten() is vec
+        wrapped.layers[1][1][:] = 7.0
+        assert np.count_nonzero(vec) == 3 and vec[-1] == 7.0
+
+    def test_construction_copies_the_callers_arrays(self):
+        w, b = np.ones((3, 2)), np.zeros(2)
+        params = ParamSet([(w, b)])
+        assert not np.shares_memory(params.flatten(), w)
+        assert not np.shares_memory(params.flatten(), b)
+        params.add_scaled(params.copy(), 1.0)
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+        assert np.all(params.layers[0][0] == 2.0)
+
     def test_flatten_unflatten_roundtrip(self):
         params = small_net([5, 7, 3])
         flat = params.flatten()
@@ -37,10 +159,14 @@ class TestParamSet:
 
     def test_unflatten_checks_length(self):
         params = small_net([4, 4, 2])
-        with pytest.raises(ShapeError):
-            params.unflatten(np.zeros(params.dim + 1))
+        for bad in (np.zeros(params.dim + 1), np.zeros(params.dim - 1),
+                    np.zeros((1, params.dim))):
+            with pytest.raises(ShapeError):
+                params.unflatten(bad)
 
     def test_layer_chaining_enforced(self):
+        with pytest.raises(ShapeError):
+            ParamSet([])
         with pytest.raises(ShapeError):
             ParamSet([(np.zeros((3, 4)), np.zeros(4)),
                       (np.zeros((5, 2)), np.zeros(2))])
@@ -189,38 +315,34 @@ class TestKureRegularizer:
         w = RngStream(105).normal((40, 25))
         k = kurtosis(w)
         params = ParamSet([(w, np.zeros(25))])
-        assert kure_loss(params, k_tau=k - 1.2) == pytest.approx((1.2) ** 2, rel=1e-12)
+        loss, _ = kure_terms(params, k_tau=k - 1.2)
+        assert loss == pytest.approx((1.2) ** 2, rel=1e-12)
 
     def test_loss_nonnegative_and_zero_at_target(self):
         params = small_net([6, 8, 4], seed=51)
-        assert kure_loss(params, 1.8) >= 0.0
+        assert kure_terms(params, 1.8)[0] >= 0.0
         k0 = kurtosis(params.layers[0][0])
-        single = ParamSet([params.layers[0]])
-        assert kure_loss(single, k0) == 0.0
-        grad = kure_gradient(single, k0)
+        loss, grad = kure_terms(ParamSet([params.layers[0]]), k0)
+        assert loss == 0.0
         assert np.all(grad.flatten() == 0.0)
 
     def test_gradient_matches_fd(self):
         params = small_net([5, 6, 3], seed=52)
-        grads = kure_gradient(params, 1.8)
-        err = check_gradients(params, lambda p: kure_loss(p, 1.8), grads)
+        _, grads = kure_terms(params, 1.8)
+        err = check_gradients(params, lambda p: kure_terms(p, 1.8)[0], grads)
         assert err < 1e-6
 
     def test_bias_slots_untouched(self):
         params = small_net([5, 6, 3], seed=53)
-        grads = kure_gradient(params, 1.8)
+        _, grads = kure_terms(params, 1.8)
         for _, gb in grads.layers:
             assert np.all(gb == 0.0)
 
     def test_fused_pass_equals_the_oracles_bitwise(self):
         params = small_net([32, 64, 48, 10], seed=54)
-        m = params.num_layers
         loss, grads = kure_terms(params, 1.8)
-        assert loss == float(np.mean([(kurtosis(w) - 1.8) ** 2
-                                      for w in params.weights()]))
-        for (gw, _), w in zip(grads.layers, params.weights()):
-            want = (2.0 * (kurtosis(w) - 1.8) / m) * kurtosis_gradient(w)
-            assert np.array_equal(gw, want)
+        assert loss == kure_loss(params, 1.8)
+        assert grads.flatten().tobytes() == kure_gradient(params, 1.8).flatten().tobytes()
         _, cache = forward(params, random_batch(20, 32, 10, seed=55))
         loss, act_grads = act_kure_terms(cache, 1.8)
         m = len(cache.relu_raw)

@@ -9,12 +9,12 @@ from fedquant.config import (build_data, build_fed_config, build_strategy,
                              hidden_widths, load_config)
 from fedquant.errors import ConfigError, DivergedError
 from fedquant.federation import init_state, make_calibration_batch
-from fedquant.mlp import Batch, backward, forward, init_params, kure_gradient
+from fedquant.mlp import Batch, backward, forward, init_params
 from fedquant.quantize import quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import (ClientTask, StrategyConfig, calibrate_steps,
                                  local_train, resolve_bits, sample_bitwidth)
-from helpers import steps_consistent
+from helpers import kure_gradient, steps_consistent
 
 
 def make_net(seed=0, widths=(6, 10, 4)):
