@@ -13,7 +13,7 @@ from .quantize import (QuantSpec, StepTable, estimate_range_mse, make_spec,
                        pseudo_quantize, quantize, rescale_step, ste_backward)
 from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
-                         calibrate_steps, local_train, sample_bitwidth)
+                         calibrate_steps, local_train, resolve_bits)
 from .theory import (BoundInputs, BoundReport, check_conditions, compute_bound,
                      empirical_bound_check, empirical_noise_bound, r_value)
 

@@ -20,7 +20,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .federation import ServerState
 from .mlp import Batch, ParamSet, mean_cross_entropy, predict_logits, forward
-from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec,
+from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec, StepTable,
                        estimate_range_mse, quantize)
 from .strategies import StrategyConfig
 
@@ -84,20 +84,33 @@ class EvalReport:
             fh.write("\n")
 
 
+def _trained_tables(state: ServerState, strat: StrategyConfig,
+                    acts: bool) -> list[StepTable] | None:
+    """The training step tables of the weights (or activations) when the sweep
+    reuses them: the strategy trained that tensor class against a quantizer
+    and every table holds a step. None means a fresh range search."""
+    tables = state.step_tables
+    if not strat.quantizing or tables is None:
+        return None
+    targeted, entries = ((strat.quantize_acts, tables.acts) if acts
+                         else (strat.quantize_weights, tables.weights))
+    if targeted and entries is not None and all(t.steps for t in entries):
+        return entries
+    return None
+
+
 def _weight_specs(state: ServerState, strat: StrategyConfig, bits: int,
                   exempt_first_last: bool = False) -> list[QuantSpec | None]:
     """Per-layer weight specs for an eval bit-width; exempt layers get None
     without a search."""
     last = state.params.num_layers - 1
-    reuse = (strat.quantizing and strat.quantize_weights
-             and state.step_tables is not None
-             and all(t.steps for t in state.step_tables.weights))
+    trained = _trained_tables(state, strat, acts=False)
 
     def spec(i: int, w: np.ndarray) -> QuantSpec | None:
         if exempt_first_last and i in (0, last):
             return None
-        if reuse:
-            return state.step_tables.weights[i].spec_for(bits, signed=True)
+        if trained is not None:
+            return trained[i].spec_for(bits, signed=True)
         return estimate_range_mse(w, bits, signed=True)
 
     return [spec(i, w) for i, (w, _) in enumerate(state.params.layers)]
@@ -106,12 +119,9 @@ def _weight_specs(state: ServerState, strat: StrategyConfig, bits: int,
 def _act_specs(state: ServerState, strat: StrategyConfig, bits: int,
                params_for_calib: ParamSet, calib_batch: Batch
                ) -> list[QuantSpec | None]:
-    reuse = (strat.quantizing and strat.quantize_acts
-             and state.step_tables is not None
-             and state.step_tables.acts is not None
-             and all(t.steps for t in state.step_tables.acts))
-    if reuse:
-        return [t.spec_for(bits, signed=False) for t in state.step_tables.acts]
+    trained = _trained_tables(state, strat, acts=True)
+    if trained is not None:
+        return [t.spec_for(bits, signed=False) for t in trained]
     _, cache = forward(params_for_calib, calib_batch)
     return [estimate_range_mse(r, bits, signed=False) for r in cache.relu_raw]
 

@@ -231,7 +231,8 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
                data: FederatedDataset, root: RngStream,
                pool: Executor | None = None
                ) -> tuple[ServerState, list[ClientUpdate]]:
-    """Run round ``state.round_idx``: sample clients, train each from the
+    """Run round ``state.round_idx``: sample clients, build each one's
+    ``ClientTask`` (batches, bit-width, noise stream) and train it from the
     global parameters with ``state.step_tables``, aggregate, server step.
 
     ``root`` is the run's ``RngStream(cfg.seed)``, from which every client
@@ -246,14 +247,14 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
         indices = data.client_indices(client_id)
         steps = _resolve_local_steps(cfg, indices.size)
         batch_rng = root.child(Purpose.BATCH, t, client_id)
-        task = ClientTask(
+        return local_train(ClientTask(
             client_id=client_id, round_idx=t, start_params=state.params,
             step_tables=state.step_tables, eta_c=cfg.eta_c,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
-            rng=root.child(Purpose.NOISE, t, client_id))
-        bit = resolve_bits(strat, t, client_id, root)
-        sampled = bit if strat.kind == "mqat" else None
-        return local_train(task, strat, sampled_bit=sampled)
+            bits=resolve_bits(strat, t, client_id, root),
+            # a path of four entries, as the recorded apqn digests were drawn on
+            noise_rng=root.child(Purpose.NOISE, t, client_id, Purpose.NOISE)),
+            strat)
 
     ids = [int(cid) for cid in selected]
     if pool is not None:

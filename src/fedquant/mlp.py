@@ -269,7 +269,7 @@ def _kurtosis_with_gradient(t: np.ndarray) -> tuple[float, np.ndarray]:
     flat = np.asarray(t, dtype=np.float64).ravel()
     n = flat.size
     if n < 2:
-        raise DegenerateTensorError("kurtosis needs at least 2 elements")
+        raise ShapeError("kurtosis needs at least 2 elements")
     c = flat - flat.mean()
     var = np.mean(c * c)
     if var <= 0.0:
@@ -302,7 +302,7 @@ def act_kure_terms(cache: ForwardCache, k_tau: float
     weight before use).
     """
     if not cache.relu_raw:
-        raise DegenerateTensorError("network has no hidden activations")
+        raise ShapeError("network has no hidden activations")
     m = len(cache.relu_raw)
     loss = 0.0
     grads = []

@@ -40,16 +40,11 @@ def _check_bits(bits: int) -> None:
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Per-tensor quantizer; ``grid_bounds`` derives its grid from the bits.
-
-    ``default_range`` flags a spec that fell back to a unit range because the
-    calibration tensor was all zeros.
-    """
+    """Per-tensor quantizer; ``grid_bounds`` derives its grid from the bits."""
 
     bits: int
     step: float
     signed: bool = True
-    default_range: bool = False
 
     def __post_init__(self):
         _check_bits(self.bits)
@@ -65,8 +60,7 @@ class QuantSpec:
         return grid_bounds(self.bits, self.signed)[1]
 
 
-def make_spec(range_max: float, bits: int, signed: bool = True,
-              default_range: bool = False) -> QuantSpec:
+def make_spec(range_max: float, bits: int, signed: bool = True) -> QuantSpec:
     """Build a spec whose largest positive grid point equals ``range_max``.
 
     Signed: step = range_max / (2^(b-1) - 1). Unsigned: range_max / (2^b - 1).
@@ -75,7 +69,7 @@ def make_spec(range_max: float, bits: int, signed: bool = True,
     if not (range_max > 0.0 and np.isfinite(range_max)):
         raise ConfigError(f"range_max must be positive, got {range_max}")
     return QuantSpec(bits=bits, step=range_max / grid_bounds(bits, signed)[1],
-                     signed=signed, default_range=default_range)
+                     signed=signed)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -145,7 +139,7 @@ def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True,
 
     Candidate maxima are (j / num_candidates) * max|w| for j = 1..num_candidates;
     ties break toward the larger range. An all-zero tensor cannot anchor a
-    range, so it falls back to a unit range with ``default_range`` set.
+    range, so it falls back to a unit range (step ``1 / grid_max``).
     """
     _check_bits(bits)
     if num_candidates < 2:
@@ -155,7 +149,7 @@ def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True,
         raise ConfigError("cannot estimate a range for an empty tensor")
     absmax = float(np.max(np.abs(w)))
     if absmax == 0.0:
-        return make_spec(1.0, bits, signed, default_range=True)
+        return make_spec(1.0, bits, signed)
     ranges = absmax * (np.arange(num_candidates, 0, -1) / num_candidates)
     steps = ranges / grid_bounds(bits, signed)[1]
     bad = np.flatnonzero(~((steps > 0.0) & (steps < np.inf)))

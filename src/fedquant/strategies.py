@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError, NumericError
+from .errors import (ConfigError, DegenerateTensorError, DivergedError,
+                     NumericError)
 from .mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
                   forward, kure_terms)
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, StepTable,
@@ -96,7 +97,12 @@ class StepTables:
 
 @dataclass
 class ClientTask:
-    """One client's work order for one round."""
+    """One client's whole work order for one round.
+
+    ``bits`` is the bit-width ``resolve_bits`` chose (None for baseline and
+    kure); ``noise_rng`` is the stream apqn's pseudo-quantization noise draws
+    from, unused by the other strategies.
+    """
 
     client_id: int
     round_idx: int
@@ -104,7 +110,8 @@ class ClientTask:
     step_tables: StepTables | None
     eta_c: float
     batches: list[Batch]
-    rng: RngStream
+    bits: int | None
+    noise_rng: RngStream
 
     def __post_init__(self):
         if self.local_steps < 1 or not self.eta_c > 0:
@@ -117,39 +124,32 @@ class ClientTask:
 
 @dataclass
 class ClientUpdate:
-    """Parameter delta (w_K - w_0, flat) plus the per-step loss trace."""
+    """Parameter delta (w_K - w_0, flat), the per-step loss trace and the
+    bit-width the client trained at."""
 
     client_id: int
     delta: np.ndarray
     local_loss_trace: list[float]
-    sampled_bit: int | None = None
-
-
-def sample_bitwidth(bit_set: tuple[int, ...], rng: RngStream) -> int:
-    """Uniform draw from the bit set; the caller scopes the stream's path."""
-    if len(bit_set) == 0:
-        raise ConfigError("cannot sample from an empty bit set")
-    idx = int(rng.integers(len(bit_set), size=1)[0])
-    return bit_set[idx]
+    bits: int | None = None
 
 
 def resolve_bits(strat: StrategyConfig, round_idx: int, client_id: int,
                  root: RngStream) -> int | None:
     """The bit-width this client trains at this round.
 
-    mqat per_round draws from a (round, client) stream; fixed_per_client from
-    a (client) stream only, so every round re-derives the same bit. Returns
-    None for strategies without a bit-width.
+    mqat draws uniformly from its bit set, per_round from a (round, client)
+    stream and fixed_per_client from a (client) stream only, so every round
+    re-derives the same bit. Returns None for strategies without a bit-width.
     """
     if strat.kind in ("apqn", "qat"):
         return strat.train_bits
-    if strat.kind == "mqat":
-        if strat.mqat_mode == "fixed_per_client":
-            stream = root.child(Purpose.BIT_CHOICE, client_id)
-        else:
-            stream = root.child(Purpose.BIT_CHOICE, round_idx, client_id)
-        return sample_bitwidth(strat.bit_set, stream)
-    return None
+    if strat.kind != "mqat":
+        return None
+    if strat.mqat_mode == "fixed_per_client":
+        stream = root.child(Purpose.BIT_CHOICE, client_id)
+    else:
+        stream = root.child(Purpose.BIT_CHOICE, round_idx, client_id)
+    return strat.bit_set[int(stream.integers(len(strat.bit_set))[0])]
 
 
 def calibrate_steps(params: ParamSet, bits: tuple[int, ...],
@@ -205,19 +205,9 @@ def build_plan(strat: StrategyConfig, tables: StepTables | None,
                      acts=acts if strat.quantize_acts else [])
 
 
-def local_train(task: ClientTask, strat: StrategyConfig,
-                sampled_bit: int | None = None) -> ClientUpdate:
-    """Run the strategy's K SGD steps and return the resulting delta.
-
-    ``sampled_bit`` must be provided for mqat (the draw happens in
-    ``resolve_bits`` so the fixed-per-client path can omit the round index).
-    """
-    if strat.kind == "mqat" and sampled_bit is None:
-        raise ConfigError("mqat requires a sampled bit-width")
-    bits = sampled_bit if sampled_bit is not None else (
-        strat.train_bits if strat.kind in ("apqn", "qat") else None)
-    plan = build_plan(strat, task.step_tables, bits)
-    noise_rng = task.rng.child(Purpose.NOISE) if plan.needs_rng else None
+def local_train(task: ClientTask, strat: StrategyConfig) -> ClientUpdate:
+    """Run the strategy's K SGD steps at ``task.bits`` and return the delta."""
+    plan = build_plan(strat, task.step_tables, task.bits)
     regularize = strat.kind == "kure" and strat.lam != 0.0
     params = task.start_params.copy()
     trace: list[float] = []
@@ -225,7 +215,8 @@ def local_train(task: ClientTask, strat: StrategyConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(task.local_steps):
             try:
-                loss, cache = forward(params, task.batches[k], plan, rng=noise_rng)
+                loss, cache = forward(params, task.batches[k], plan,
+                                      rng=task.noise_rng)
                 extra_act = None
                 if regularize and strat.quantize_acts:
                     reg_a, act_grads = act_kure_terms(cache, strat.k_tau)
@@ -236,7 +227,7 @@ def local_train(task: ClientTask, strat: StrategyConfig,
                     reg_w, reg_grads = kure_terms(params, strat.k_tau)
                     loss += strat.lam * reg_w
                     grads.add_scaled(reg_grads, strat.lam)
-            except NumericError as exc:
+            except (NumericError, DegenerateTensorError) as exc:
                 raise DivergedError(
                     f"client {task.client_id} diverged at round {task.round_idx}, "
                     f"step {k}: {exc}",
@@ -248,4 +239,4 @@ def local_train(task: ClientTask, strat: StrategyConfig,
         raise DivergedError(f"client {task.client_id} loss or update non-finite",
                             round_idx=task.round_idx, client_id=task.client_id)
     return ClientUpdate(client_id=task.client_id, delta=delta,
-                        local_loss_trace=trace, sampled_bit=sampled_bit)
+                        local_loss_trace=trace, bits=task.bits)

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from fedquant.errors import DegenerateTensorError, NumericError
+from fedquant.errors import DegenerateTensorError, NumericError, ShapeError
 from fedquant.federation import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                  _tables_to_json, config_hash)
 from fedquant.mlp import Batch, ParamSet
@@ -58,7 +58,7 @@ def range_search_oracle(w: np.ndarray, bits: int, signed: bool = True,
     w = np.asarray(w, dtype=np.float64)
     absmax = float(np.max(np.abs(w)))
     if absmax == 0.0:
-        return make_spec(1.0, bits, signed, default_range=True), [], []
+        return make_spec(1.0, bits, signed), [], []
     best_spec, best_mse, steps, mses = None, np.inf, [], []
     for j in range(num_candidates, 0, -1):
         spec = make_spec(absmax * (j / num_candidates), bits, signed)
@@ -171,7 +171,7 @@ def kurtosis(w: np.ndarray) -> float:
     """Fourth standardized moment E[((w - mean) / std)^4], population std."""
     w = np.asarray(w, dtype=np.float64).ravel()
     if w.size < 2:
-        raise DegenerateTensorError("kurtosis needs at least 2 elements")
+        raise ShapeError("kurtosis needs at least 2 elements")
     mu = w.mean()
     var = np.mean((w - mu) ** 2)
     if var <= 0.0:
@@ -189,7 +189,7 @@ def kurtosis_gradient(w: np.ndarray) -> np.ndarray:
     flat = w.ravel()
     n = flat.size
     if n < 2:
-        raise DegenerateTensorError("kurtosis needs at least 2 elements")
+        raise ShapeError("kurtosis needs at least 2 elements")
     c = flat - flat.mean()
     var = np.mean(c * c)
     if var <= 0.0:

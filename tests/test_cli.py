@@ -144,14 +144,24 @@ class TestRunCommand:
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t4" / name).read_bytes(), name
 
+    # (config, arguments) of runs that must exit 3 with one error line
+    DIVERGING = {
+        "overflow-t1": (None, ["--threads", "1", "--set", "federation.eta_c=1e300"]),
+        "overflow-t2": (None, ["--threads", "2", "--set", "federation.eta_c=1e300"]),
+        # a batch whose post-ReLU values are all 0: its kurtosis is undefined
+        "kure-dead-activation": (os.path.join(CONFIGS, "smoke.json"), [
+            "--set", "strategy.kind=kure", "--set", "strategy.quantize_acts=true",
+            "--set", "federation.eta_c=3", "--set", "federation.total_rounds=30"]),
+    }
+
     def test_divergent_run_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        for threads in ("1", "2"):
-            out = str(tmp_path / f"div{threads}")
-            code = main(["run", "--config", cfg, "--out", out, "--quiet",
-                         "--threads", threads, "--set", "federation.eta_c=1e300"])
-            assert code == 3, threads
-            assert "diverged" in capsys.readouterr().err, threads
+        for tag, (cfg, args) in self.DIVERGING.items():
+            code = main(["run", "--config", cfg or write_config(tmp_path),
+                         "--out", str(tmp_path / tag), "--quiet", *args])
+            err = capsys.readouterr().err
+            assert code == 3, tag
+            assert re.fullmatch(r"error: training diverged \(round \d+, "
+                                r"client \d+\): [^\n]+\n", err), (tag, err)
 
 
 # 6-256-256-3 on the smoke data: 68,355 parameters
@@ -329,6 +339,10 @@ MALFORMED_INPUTS = {
     "override-nan-class-separation": _override("data.class_separation=NaN"),
     "override-nan-alpha": _override("data.alpha=NaN"),
     "override-nan-k-tau": _override('strategy.kind="kure"', "strategy.k_tau=NaN"),
+    # one-row batches of a width-1 layer: a one-element activation tensor
+    "override-kure-acts-on-single-activations": _override(
+        'strategy.kind="kure"', "strategy.quantize_acts=true",
+        "federation.batch_size=1", "model.hidden=[1]"),
     "override-adam-beta1-one": _override('federation.server_opt="adam"',
                                          "federation.adam_beta1=1.0"),
     "override-adam-beta2-two": _override('federation.server_opt="adam"',

@@ -14,7 +14,8 @@ from fedquant.federation import (FedConfig, ServerState, aggregate,
 from fedquant.mlp import Batch, ParamSet, backward, forward, init_params
 from fedquant.quantize import StepTable
 from fedquant.rng import Purpose, RngStream
-from fedquant.strategies import ClientUpdate, StepTables, StrategyConfig
+from fedquant.strategies import (ClientUpdate, StepTables, StrategyConfig,
+                                 resolve_bits)
 from helpers import checkpoint_oracle, client_batches_oracle
 
 
@@ -268,6 +269,32 @@ class TestRun:
         assert state.params.flatten().tobytes() == before.tobytes()
         assert not np.shares_memory(new.params.flatten(), state.params.flatten())
         assert new.params.flatten().tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("strat", [
+        StrategyConfig(),
+        StrategyConfig(kind="kure"),
+        StrategyConfig(kind="apqn", train_bits=4),
+        StrategyConfig(kind="qat", train_bits=2),
+        StrategyConfig(kind="mqat", bit_set=(2, 4, 32)),
+        StrategyConfig(kind="mqat", bit_set=(2, 4, 32),
+                       mqat_mode="fixed_per_client"),
+    ], ids=["baseline", "kure", "apqn", "qat", "mqat-per-round",
+            "mqat-fixed-per-client"])
+    def test_every_client_bit_width_is_recorded(self, strat):
+        data = tiny_fed_data(seed=12)
+        cfg = FedConfig(total_rounds=3, num_clients=8, clients_per_round=4,
+                        eta_c=0.05, local_steps=1, batch_size=8, seed=5)
+        state = init_state(cfg, strat, data, (6,))
+        root = RngStream(cfg.seed)
+        for t in range(cfg.total_rounds):
+            selected = sample_clients(cfg.num_clients, cfg.clients_per_round,
+                                      root.child(Purpose.CLIENT_SAMPLING, t))
+            state, updates = step_round(state, cfg, strat, data, root)
+            assert [u.client_id for u in updates] == list(selected)
+            assert [u.bits for u in updates] == \
+                [resolve_bits(strat, t, int(c), root) for c in selected]
+            if strat.kind in ("baseline", "kure"):
+                assert all(u.bits is None for u in updates)
 
 
 # Strategies and server settings that no perfbench digest covers (those

@@ -157,7 +157,7 @@ class TestRangeEstimation:
 
     def test_all_zero_tensor_gets_default_range(self):
         spec = estimate_range_mse(np.zeros(16), 4)
-        assert spec.default_range
+        assert spec.step == 1.0 / spec.grid_max
         assert spec.step == make_spec(1.0, 4).step
 
     def test_candidate_count_validated(self):
@@ -234,7 +234,7 @@ class TestRangeKernel:
     def test_all_zero_tensor_matches_oracle(self):
         for signed in (True, False):
             spec = estimate_range_mse(np.zeros((4, 4)), 3, signed=signed)
-            assert spec.default_range
+            assert spec.step == 1.0 / spec.grid_max
             assert spec == range_search_oracle(np.zeros((4, 4)), 3, signed)[0]
 
     def test_subnormal_tensor_matches_oracle(self):

@@ -8,11 +8,15 @@ The module is loaded from its file, unchanged.
 import importlib.util
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from fedquant.cli import main
 
-SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                          "spans.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SPANS_PATH = os.path.join(ROOT, "perfbench", "spans.py")
 
 ROUNDS, PER_ROUND = 2, 2
 TRACED = {
@@ -71,14 +75,20 @@ def test_traced_run_sees_every_client_task(tmp_path):
     assert len(clock.round_seconds()) == ROUNDS
 
 
-def test_span_granularity_is_pinned(tmp_path):
+@pytest.mark.parametrize("strategy,derived_per_client", [
+    ({"kind": "mqat", "bit_set": [2, 4]}, 3),
+    ({"kind": "apqn", "train_bits": 4}, 2),
+    ({"kind": "qat", "train_bits": 2}, 2),
+], ids=["mqat", "apqn", "qat"])
+def test_span_granularity_is_pinned(strategy, derived_per_client, tmp_path):
     """Each per-layer metric counts one call per unit of work: one forward and
     one backward per local step, two matmuls per forward (the two layers of
-    ``TRACED``) and three stream derivations per client and round (batch,
-    noise and bit choice). The next round's client-sampling stream is derived
-    before ``sample_clients`` starts that round, so it counts to this one."""
+    ``TRACED``) and one stream derivation per client and round for each of
+    batch, noise and (mqat only) bit choice. The next round's client-sampling
+    stream is derived before ``sample_clients`` starts that round, so it
+    counts to this one."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(TRACED))
+    cfg.write_text(json.dumps({**TRACED, "strategy": strategy}))
     clock, tracer = spans.RoundClock(), spans.Tracer()
     with spans.patched(clock.hooks() + tracer.hooks(clock)):
         assert main(["run", "--config", str(cfg), "--quiet",
@@ -101,4 +111,15 @@ def test_span_granularity_is_pinned(tmp_path):
                    if r[name] == "tensors.matmul") == 2
     derived = [sum(r[name] == "rng.init" and r[rnd] == t for r in records)
                for t in range(ROUNDS)]
-    assert derived == [3 * PER_ROUND + 1] * (ROUNDS - 1) + [3 * PER_ROUND]
+    per_round = derived_per_client * PER_ROUND
+    assert derived == [per_round + 1] * (ROUNDS - 1) + [per_round]
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` runs ``run.py --trace 0`` and ``--trace 1``
+    on the smoke workload, so a package change that breaks the benchmark or
+    its tracer fails here too."""
+    proc = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600,
+                          check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

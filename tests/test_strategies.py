@@ -13,7 +13,7 @@ from fedquant.mlp import Batch, backward, forward, init_params
 from fedquant.quantize import quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import (ClientTask, StrategyConfig, calibrate_steps,
-                                 local_train, resolve_bits, sample_bitwidth)
+                                 local_train, resolve_bits)
 from helpers import kure_gradient, steps_consistent
 
 
@@ -27,10 +27,12 @@ def make_batches(count, n=12, d=6, classes=4, seed=1):
             for _ in range(count)]
 
 
-def make_task(params, batches, tables=None, eta=0.1, client=3, round_idx=2):
+def make_task(params, batches, tables=None, bits=None, eta=0.1, client=3,
+              round_idx=2):
     return ClientTask(client_id=client, round_idx=round_idx, start_params=params,
-                      step_tables=tables, eta_c=eta,
-                      batches=batches, rng=RngStream(0, (Purpose.NOISE, round_idx, client)))
+                      step_tables=tables, eta_c=eta, batches=batches, bits=bits,
+                      noise_rng=RngStream(0, (Purpose.NOISE, round_idx, client,
+                                              Purpose.NOISE)))
 
 
 class TestStrategyConfig:
@@ -55,23 +57,32 @@ class TestStrategyConfig:
 
 
 class TestSampleBitwidth:
+    """mqat's bit-width draw, made by ``resolve_bits``."""
+
     def test_singleton(self):
-        rng = RngStream(1)
-        assert all(sample_bitwidth((4,), rng) == 4 for _ in range(100))
+        strat = StrategyConfig(kind="mqat", bit_set=(4,))
+        root = RngStream(1)
+        assert all(resolve_bits(strat, t, c, root) == 4
+                   for t in range(10) for c in range(10))
 
     def test_uniform_over_six(self):
         bits = (2, 3, 4, 6, 8, 32)
+        strat = StrategyConfig(kind="mqat", bit_set=bits)
         counts = {b: 0 for b in bits}
-        rng = RngStream(2)
-        n = 60000
-        for _ in range(n):
-            counts[sample_bitwidth(bits, rng)] += 1
+        root = RngStream(2)
+        rounds, clients = 600, 100
+        for t in range(rounds):
+            for c in range(clients):
+                counts[resolve_bits(strat, t, c, root)] += 1
         for b in bits:
-            assert abs(counts[b] / n - 1 / 6) < 0.02
+            assert abs(counts[b] / (rounds * clients) - 1 / 6) < 0.02
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_bitwidth((), RngStream(0))
+    def test_fixed_bit_strategies_ignore_the_stream(self):
+        root = RngStream(3)
+        assert resolve_bits(StrategyConfig(kind="qat", train_bits=2), 4, 5, root) == 2
+        assert resolve_bits(StrategyConfig(kind="apqn", train_bits=8), 4, 5, root) == 8
+        for kind in ("baseline", "kure"):
+            assert resolve_bits(StrategyConfig(kind=kind), 4, 5, root) is None
 
     def test_fixed_per_client_ignores_round(self):
         strat = StrategyConfig(kind="mqat", bit_set=(2, 3, 4, 6, 8, 32),
@@ -176,18 +187,18 @@ class TestLocalTrain:
         batches = make_batches(2, seed=18)
         tables = calibrate_steps(params, (32,), None, quantize_acts=False)
         base = local_train(make_task(params, batches), StrategyConfig())
-        qat = local_train(make_task(params, batches, tables=tables),
+        qat = local_train(make_task(params, batches, tables=tables, bits=32),
                           StrategyConfig(kind="qat", train_bits=32))
         assert np.array_equal(base.delta, qat.delta)
         act_tables = calibrate_steps(params, (32,), batches[0], quantize_acts=True)
-        apqn = local_train(make_task(params, batches, tables=act_tables),
+        apqn = local_train(make_task(params, batches, tables=act_tables, bits=32),
                            StrategyConfig(kind="apqn", train_bits=32,
                                           quantize_acts=True))
         assert np.array_equal(base.delta, apqn.delta)
         mixed = calibrate_steps(params, (2, 32), batches[0], quantize_acts=True)
-        mqat = local_train(make_task(params, batches, tables=mixed),
+        mqat = local_train(make_task(params, batches, tables=mixed, bits=32),
                            StrategyConfig(kind="mqat", bit_set=(2, 32),
-                                          quantize_acts=True), sampled_bit=32)
+                                          quantize_acts=True))
         assert np.array_equal(base.delta, mqat.delta)
 
     def test_kure_lambda_zero_reduces_to_baseline(self):
@@ -202,11 +213,10 @@ class TestLocalTrain:
         params = make_net(seed=21)
         batches = make_batches(2, seed=22)
         tables = calibrate_steps(params, (4,), None, quantize_acts=False)
-        qat = local_train(make_task(params, batches, tables=tables),
+        qat = local_train(make_task(params, batches, tables=tables, bits=4),
                           StrategyConfig(kind="qat", train_bits=4))
-        mqat = local_train(make_task(params, batches, tables=tables),
-                           StrategyConfig(kind="mqat", bit_set=(4,)),
-                           sampled_bit=4)
+        mqat = local_train(make_task(params, batches, tables=tables, bits=4),
+                           StrategyConfig(kind="mqat", bit_set=(4,)))
         assert np.array_equal(qat.delta, mqat.delta)
 
     def test_kure_gradient_included(self):
@@ -227,7 +237,7 @@ class TestLocalTrain:
         params = make_net(seed=25)
         batches = make_batches(3, seed=26)
         tables = calibrate_steps(params, (2,), None, quantize_acts=False)
-        update = local_train(make_task(params, batches, tables=tables),
+        update = local_train(make_task(params, batches, tables=tables, bits=2),
                              StrategyConfig(kind="qat", train_bits=2))
         final = params.flatten() + update.delta
         spec = tables.weights[0].spec_for(2)
@@ -239,8 +249,8 @@ class TestLocalTrain:
         batches = make_batches(2, seed=28)
         tables = calibrate_steps(params, (4,), None, quantize_acts=False)
         strat = StrategyConfig(kind="apqn", train_bits=4)
-        a = local_train(make_task(params, batches, tables=tables), strat)
-        b = local_train(make_task(params, batches, tables=tables), strat)
+        a = local_train(make_task(params, batches, tables=tables, bits=4), strat)
+        b = local_train(make_task(params, batches, tables=tables, bits=4), strat)
         assert np.array_equal(a.delta, b.delta)
 
     def test_divergence_reports_round_and_client(self):
@@ -262,10 +272,12 @@ class TestLocalTrain:
             local_train(task, StrategyConfig())
         assert (err.value.round_idx, err.value.client_id) == (4, 9)
 
-    def test_mqat_requires_sampled_bit(self):
+    def test_quantizing_task_without_bits_is_rejected(self):
         params = make_net()
         batches = make_batches(1)
         tables = calibrate_steps(params, (2, 4), None, quantize_acts=False)
-        with pytest.raises(ConfigError):
-            local_train(make_task(params, batches, tables=tables),
-                        StrategyConfig(kind="mqat", bit_set=(2, 4)))
+        for strat in (StrategyConfig(kind="apqn", train_bits=4),
+                      StrategyConfig(kind="qat", train_bits=4),
+                      StrategyConfig(kind="mqat", bit_set=(2, 4))):
+            with pytest.raises(ConfigError, match="unsupported bit-width None"):
+                local_train(make_task(params, batches, tables=tables), strat)
