@@ -133,6 +133,8 @@ def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
                       ) -> tuple[ParamSet, list[QuantSpec | None] | None]:
     """Materialize quantized parameters and activation specs for one config.
 
+    The weights are quantized in place in one copy of ``state.params``.
+
     ``exempt_first_last`` leaves the first and last weight matrices at full
     precision (a common deployment concession); the default quantizes every
     layer including the classifier head. ``weight_specs`` maps weight
@@ -140,17 +142,16 @@ def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
     exemption; a missing entry is computed and stored, so configs that
     share the dict search each weight bit-width once.
     """
+    params = state.params.copy()
     if bc.weight_bits is not None and bc.weight_bits != IDENTITY_BITS:
         if weight_specs is None:
             weight_specs = {}
         if bc.weight_bits not in weight_specs:
             weight_specs[bc.weight_bits] = _weight_specs(
                 state, strat, bc.weight_bits, exempt_first_last)
-        specs = weight_specs[bc.weight_bits]
-        params = ParamSet([(w if s is None else quantize(w, s), b)
-                           for (w, b), s in zip(state.params.layers, specs)])
-    else:
-        params = state.params.copy()
+        for (w, _), s in zip(params.layers, weight_specs[bc.weight_bits]):
+            if s is not None:
+                quantize(w, s, out=w)
     act_specs = None
     if bc.act_bits is not None and bc.act_bits != IDENTITY_BITS:
         if calib_batch is None:

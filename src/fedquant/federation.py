@@ -232,8 +232,9 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
                pool: Executor | None = None
                ) -> tuple[ServerState, list[ClientUpdate]]:
     """Run round ``state.round_idx``: sample clients, build each one's
-    ``ClientTask`` (batches, bit-width, noise stream) and train it from the
-    global parameters with ``state.step_tables``, aggregate, server step.
+    ``ClientTask`` (batches, bit-width and, for apqn only, noise stream) and
+    train it from the global parameters with ``state.step_tables``,
+    aggregate, server step.
 
     ``root`` is the run's ``RngStream(cfg.seed)``, from which every client
     stream derives, so the optional ``pool`` cannot change the result.
@@ -253,7 +254,8 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
             bits=resolve_bits(strat, t, client_id, root),
             # a path of four entries, as the recorded apqn digests were drawn on
-            noise_rng=root.child(Purpose.NOISE, t, client_id, Purpose.NOISE)),
+            noise_rng=(root.child(Purpose.NOISE, t, client_id, Purpose.NOISE)
+                       if strat.kind == "apqn" else None)),
             strat)
 
     ids = [int(cid) for cid in selected]

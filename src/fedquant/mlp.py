@@ -315,13 +315,23 @@ def act_kure_terms(cache: ForwardCache, k_tau: float
 
 def predict_logits(params: ParamSet, inputs: np.ndarray,
                    act_specs: list[QuantSpec | None] | None = None) -> np.ndarray:
-    """Forward pass to logits only (used by evaluation)."""
+    """Forward pass to logits only (used by evaluation).
+
+    Each layer's matmul output is its only new array: the bias, the ReLU and
+    the activation grid (``quantize(..., out=)``) apply to it in place, so
+    the pass holds one layer's input and output at a time, plus a boolean
+    mask or one block of rounding signs.
+    """
     a = np.asarray(inputs, dtype=np.float64)
     n_layers = params.num_layers
     for l, (w, b) in enumerate(params.layers):
-        h = matmul(a, w) + b
+        h = matmul(a, w)
+        h += b
         if l < n_layers - 1:
-            a = _apply(np.maximum(h, 0.0), act_specs, l)
+            np.maximum(h, 0.0, out=h)
+            if act_specs and act_specs[l] is not None:
+                quantize(h, act_specs[l], out=h)
+            a = h
     return h
 
 

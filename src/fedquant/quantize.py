@@ -72,24 +72,52 @@ def make_spec(range_max: float, bits: int, signed: bool = True) -> QuantSpec:
                      signed=signed)
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (np.round ties to even).
+# Elements per round_half_away block: its signs take at most 512 KiB, and a
+# block's four passes stay in cache.
+_ROUND_BLOCK = 1 << 16
 
-    ``x`` is an array; the result is a new one, computed in place.
-    """
-    k = np.abs(x)
+
+def _round_rows(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    sign = np.sign(x)
+    k = np.abs(x, out=out)
     k += 0.5
     np.floor(k, out=k)
-    k *= np.sign(x)
+    k *= sign
     return k
 
 
-def quantize(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """Snap ``w`` onto the spec's grid: step * clip(round(w/step), lo, hi)."""
+def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to nearest integer, ties away from zero (np.round ties to even).
+
+    ``x`` is an array of at least one dimension. The result goes to ``out``
+    (``x`` itself or a buffer not overlapping it), or to a new array when
+    ``out`` is None, leaving ``x`` unchanged. Row blocks of at most
+    ``_ROUND_BLOCK`` elements are rounded in turn, so the only temporary is
+    one block's ``np.sign``; a boolean mask with ``np.negative(...,
+    where=)`` would be smaller, but numpy's masked loop is 2-3x slower.
+    """
+    if x.size <= _ROUND_BLOCK:
+        return _round_rows(x, out)
+    k = np.empty_like(x) if out is None else out
+    rows = max(1, _ROUND_BLOCK * len(x) // x.size)
+    for lo in range(0, len(x), rows):
+        _round_rows(x[lo:lo + rows], k[lo:lo + rows])
+    return k
+
+
+def quantize(w: np.ndarray, spec: QuantSpec,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Snap ``w`` onto the spec's grid: step * clip(round(w/step), lo, hi).
+
+    The result goes to ``out`` (``w`` itself or a buffer not overlapping
+    it), or to a new array when ``out`` is None, leaving ``w`` unchanged.
+    A non-finite ``w`` raises before anything is written.
+    """
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise NumericError("cannot quantize non-finite values")
-    k = round_half_away(w / spec.step)
+    k = np.divide(w, spec.step, out=out)
+    round_half_away(k, out=k)
     # ndarray.clip is np.clip without its dispatch; it also keeps np.clip's
     # sign of zero, which np.maximum does not (-0.0 against a grid floor of 0)
     k.clip(*grid_bounds(spec.bits, spec.signed), out=k)

@@ -101,7 +101,7 @@ class ClientTask:
 
     ``bits`` is the bit-width ``resolve_bits`` chose (None for baseline and
     kure); ``noise_rng`` is the stream apqn's pseudo-quantization noise draws
-    from, unused by the other strategies.
+    from, and None for the other strategies, whose plans draw no noise.
     """
 
     client_id: int
@@ -111,7 +111,7 @@ class ClientTask:
     eta_c: float
     batches: list[Batch]
     bits: int | None
-    noise_rng: RngStream
+    noise_rng: RngStream | None
 
     def __post_init__(self):
         if self.local_steps < 1 or not self.eta_c > 0:

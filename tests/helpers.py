@@ -97,13 +97,39 @@ def integers_oracle(key: int, counter: int, upper: int, n: int) -> np.ndarray:
     return (raw_draws_oracle(key, counter, n) % np.uint64(upper)).astype(np.int64)
 
 
+def round_half_away_oracle(x: np.ndarray) -> np.ndarray:
+    """``round_half_away`` before it took ``out=``: floor(|x| + 0.5) times
+    ``np.sign(x)``, in a new array."""
+    k = np.abs(x)
+    k += 0.5
+    np.floor(k, out=k)
+    k *= np.sign(x)
+    return k
+
+
 def quantize_oracle(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """``quantize`` as step * clip(sign(x) * floor(|x| + 0.5), lo, hi)."""
+    """``quantize`` before it took ``out=``: step * clip(round(w / step),
+    lo, hi), each stage a new array."""
+    w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericError("cannot quantize non-finite values")
-    x = np.asarray(w, dtype=np.float64) / spec.step
-    k = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), spec.grid_min, spec.grid_max)
+    k = np.clip(round_half_away_oracle(w / spec.step), spec.grid_min, spec.grid_max)
     return spec.step * k
+
+
+def predict_logits_oracle(params: ParamSet, inputs: np.ndarray,
+                          act_specs: list[QuantSpec | None] | None = None
+                          ) -> np.ndarray:
+    """``mlp.predict_logits`` before it worked in place: a new array for the
+    product, the bias sum, the ReLU and the activation grid of each layer."""
+    a = np.asarray(inputs, dtype=np.float64)
+    for l, (w, b) in enumerate(params.layers):
+        h = a @ w + b
+        if l < params.num_layers - 1:
+            r = np.maximum(h, 0.0)
+            spec = act_specs[l] if act_specs else None
+            a = r if spec is None else quantize_oracle(r, spec)
+    return h
 
 
 def ste_mask_oracle(w: np.ndarray, spec: QuantSpec) -> np.ndarray:

@@ -76,17 +76,17 @@ def test_traced_run_sees_every_client_task(tmp_path):
 
 
 @pytest.mark.parametrize("strategy,derived_per_client", [
-    ({"kind": "mqat", "bit_set": [2, 4]}, 3),
+    ({"kind": "mqat", "bit_set": [2, 4]}, 2),
     ({"kind": "apqn", "train_bits": 4}, 2),
-    ({"kind": "qat", "train_bits": 2}, 2),
+    ({"kind": "qat", "train_bits": 2}, 1),
 ], ids=["mqat", "apqn", "qat"])
 def test_span_granularity_is_pinned(strategy, derived_per_client, tmp_path):
     """Each per-layer metric counts one call per unit of work: one forward and
     one backward per local step, two matmuls per forward (the two layers of
     ``TRACED``) and one stream derivation per client and round for each of
-    batch, noise and (mqat only) bit choice. The next round's client-sampling
-    stream is derived before ``sample_clients`` starts that round, so it
-    counts to this one."""
+    batch, noise (apqn only) and bit choice (mqat only). The next round's
+    client-sampling stream is derived before ``sample_clients`` starts that
+    round, so it counts to this one."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TRACED, "strategy": strategy}))
     clock, tracer = spans.RoundClock(), spans.Tracer()
