@@ -24,7 +24,7 @@ from .mlp import Batch, ParamSet, init_params, mean_cross_entropy, predict_logit
 from .quantize import QuantSpec, StepTable
 from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
-                         calibrate_steps, local_train, resolve_bits)
+                         build_plan, calibrate_steps, local_train, resolve_bits)
 
 CHECKPOINT_MAGIC = "fedquant.checkpoint"
 CHECKPOINT_VERSION = 1
@@ -232,9 +232,9 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
                pool: Executor | None = None
                ) -> tuple[ServerState, list[ClientUpdate]]:
     """Run round ``state.round_idx``: sample clients, build each one's
-    ``ClientTask`` (batches, bit-width and, for apqn only, noise stream) and
-    train it from the global parameters with ``state.step_tables``,
-    aggregate, server step.
+    ``ClientTask`` (batches, bit-width, the plan ``build_plan`` makes from
+    ``state.step_tables`` and, if that plan draws noise, a noise stream) and
+    train it from the global parameters, aggregate, server step.
 
     ``root`` is the run's ``RngStream(cfg.seed)``, from which every client
     stream derives, so the optional ``pool`` cannot change the result.
@@ -248,14 +248,16 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
         indices = data.client_indices(client_id)
         steps = _resolve_local_steps(cfg, indices.size)
         batch_rng = root.child(Purpose.BATCH, t, client_id)
+        bits = resolve_bits(strat, t, client_id, root)
+        plan = build_plan(strat, state.step_tables, bits)
         return local_train(ClientTask(
             client_id=client_id, round_idx=t, start_params=state.params,
-            step_tables=state.step_tables, eta_c=cfg.eta_c,
+            plan=plan, eta_c=cfg.eta_c,
             batches=client_batches(train, indices, steps, cfg.batch_size, batch_rng),
-            bits=resolve_bits(strat, t, client_id, root),
+            bits=bits,
             # a path of four entries, as the recorded apqn digests were drawn on
             noise_rng=(root.child(Purpose.NOISE, t, client_id, Purpose.NOISE)
-                       if strat.kind == "apqn" else None)),
+                       if plan.needs_rng else None)),
             strat)
 
     ids = [int(cid) for cid in selected]

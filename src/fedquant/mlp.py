@@ -157,17 +157,17 @@ PLAIN_PLAN = QuantPlan()
 @dataclass
 class ForwardCache:
     """Everything backward needs, including the effective (quantized/noised)
-    weights so APQN replays the exact perturbation it sampled."""
+    weights so APQN replays the exact perturbation it sampled. Each hidden
+    layer's ``relu_raw`` entry is its matmul output with the ReLU applied in
+    place; ``relu_raw > 0`` is the ReLU's backward mask."""
 
     plan: QuantPlan
     batch: Batch
     params: ParamSet                    # the shadow parameters forward read
     eff_weights: list[np.ndarray]
     layer_inputs: list[np.ndarray]      # effective input to each matmul
-    pre_acts: list[np.ndarray]          # h_l = a_l @ W_l + b_l
     relu_raw: list[np.ndarray]          # post-ReLU, before activation quant
     probs: np.ndarray
-    loss: float
     consumed: bool = field(default=False)
 
 
@@ -208,25 +208,23 @@ def forward(params: ParamSet, batch: Batch, plan: QuantPlan = PLAIN_PLAN,
         raise UsageError("a plan with noise needs a stream to sample it from")
     n_layers = params.num_layers
     a = batch.inputs
-    eff_weights, layer_inputs, pre_acts, relu_raw = [], [], [], []
+    eff_weights, layer_inputs, relu_raw = [], [], []
     for l, (w, b) in enumerate(params.layers):
         w_eff = _apply(w, plan.weights, l, rng)
         layer_inputs.append(a)
         eff_weights.append(w_eff)
         h = matmul(a, w_eff)
         h += b
-        pre_acts.append(h)
         if l < n_layers - 1:
-            r = np.maximum(h, 0.0)
-            relu_raw.append(r)
-            a = _apply(r, plan.acts, l, rng)
-    loss, probs = _softmax_ce(pre_acts[-1], batch.labels)
+            np.maximum(h, 0.0, out=h)
+            relu_raw.append(h)
+            a = _apply(h, plan.acts, l, rng)
+    loss, probs = _softmax_ce(h, batch.labels)
     if not math.isfinite(loss):
         raise NumericError("forward produced a non-finite loss")
     cache = ForwardCache(plan=plan, batch=batch, params=params,
                          eff_weights=eff_weights, layer_inputs=layer_inputs,
-                         pre_acts=pre_acts, relu_raw=relu_raw,
-                         probs=probs, loss=loss)
+                         relu_raw=relu_raw, probs=probs)
     return loss, cache
 
 
@@ -258,7 +256,7 @@ def backward(cache: ForwardCache,
                       plan.acts, l - 1)
             if extra_act_grads is not None and extra_act_grads[l - 1] is not None:
                 da = da + extra_act_grads[l - 1]
-            dh = da * (cache.pre_acts[l - 1] > 0.0)
+            dh = da * (cache.relu_raw[l - 1] > 0.0)
     return grads
 
 
@@ -280,37 +278,21 @@ def _kurtosis_with_gradient(t: np.ndarray) -> tuple[float, np.ndarray]:
     return float(k), grad.reshape(np.shape(t))
 
 
-def kure_terms(params: ParamSet, k_tau: float) -> tuple[float, ParamSet]:
-    """Mean over weight tensors of (kurtosis(W) - k_tau)^2, biases excluded,
-    and its gradient (zero bias slots), from one pass over the weights."""
-    m = len(params.layers)
-    penalties = []
-    grads = params.unflatten(np.zeros_like(params.vec))
-    for (w, _), (gw, _) in zip(params.layers, grads.layers):
-        k, dk = _kurtosis_with_gradient(w)
+def kure_terms(tensors: list[np.ndarray], k_tau: float
+               ) -> tuple[float, list[np.ndarray]]:
+    """Mean over ``tensors`` (weights or ``ForwardCache.relu_raw``) of
+    (kurtosis(t) - k_tau)^2 and its gradient, one new array per tensor, from
+    one pass over each; scale both by the regularizer weight before use."""
+    if not tensors:
+        raise ShapeError("kurtosis regularizer needs at least one tensor")
+    m = len(tensors)
+    penalties, grads = [], []
+    for t in tensors:
+        k, dk = _kurtosis_with_gradient(t)
         penalties.append((k - k_tau) ** 2)
-        np.multiply(2.0 * (k - k_tau) / m, dk, out=gw)
+        dk *= 2.0 * (k - k_tau) / m
+        grads.append(dk)
     return float(np.mean(penalties)), grads
-
-
-def act_kure_terms(cache: ForwardCache, k_tau: float
-                   ) -> tuple[float, list[np.ndarray]]:
-    """Kurtosis regularizer on post-ReLU activation batches.
-
-    Returns the loss term and per-activation gradients suitable for
-    ``backward(cache, extra_act_grads=...)`` (scale both by the regularizer
-    weight before use).
-    """
-    if not cache.relu_raw:
-        raise ShapeError("network has no hidden activations")
-    m = len(cache.relu_raw)
-    loss = 0.0
-    grads = []
-    for r in cache.relu_raw:
-        k, dk = _kurtosis_with_gradient(r)
-        loss += (k - k_tau) ** 2 / m
-        grads.append((2.0 * (k - k_tau) / m) * dk)
-    return loss, grads
 
 
 def predict_logits(params: ParamSet, inputs: np.ndarray,

@@ -18,14 +18,14 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateTensorError, DivergedError,
                      NumericError)
-from .mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
-                  forward, kure_terms)
+from .mlp import Batch, ParamSet, QuantPlan, backward, forward, kure_terms
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, StepTable,
                        estimate_range_mse, rescale_step)
 from .rng import Purpose, RngStream
 
 STRATEGY_KINDS = ("baseline", "kure", "apqn", "qat", "mqat")
 MQAT_MODES = ("per_round", "fixed_per_client")
+CALIBRATION_CANDIDATES = 100  # clipping ranges each calibration search tries
 
 
 @dataclass
@@ -100,14 +100,15 @@ class ClientTask:
     """One client's whole work order for one round.
 
     ``bits`` is the bit-width ``resolve_bits`` chose (None for baseline and
-    kure); ``noise_rng`` is the stream apqn's pseudo-quantization noise draws
-    from, and None for the other strategies, whose plans draw no noise.
+    kure) and ``plan`` the forward-pass plan ``build_plan`` made for it;
+    ``noise_rng`` is the stream the plan's pseudo-quantization noise draws
+    from, and None when the plan draws no noise (``plan.needs_rng``).
     """
 
     client_id: int
     round_idx: int
     start_params: ParamSet
-    step_tables: StepTables | None
+    plan: QuantPlan
     eta_c: float
     batches: list[Batch]
     bits: int | None
@@ -153,8 +154,7 @@ def resolve_bits(strat: StrategyConfig, round_idx: int, client_id: int,
 
 
 def calibrate_steps(params: ParamSet, bits: tuple[int, ...],
-                    calib_batch: Batch | None, quantize_acts: bool,
-                    num_candidates: int = 100) -> StepTables:
+                    calib_batch: Batch | None, quantize_acts: bool) -> StepTables:
     """MSE range search at the smallest bit-width, rescaled to fill the table.
 
     The smallest bit is the most clipping-sensitive, so it anchors the search;
@@ -170,7 +170,7 @@ def calibrate_steps(params: ParamSet, bits: tuple[int, ...],
 
     def table_for(tensor: np.ndarray, signed: bool) -> StepTable:
         spec = estimate_range_mse(tensor, anchor, signed=signed,
-                                  num_candidates=num_candidates)
+                                  num_candidates=CALIBRATION_CANDIDATES)
         steps = {anchor: spec.step}
         for b in real_bits[1:]:
             steps[b] = rescale_step(spec.step, anchor, b)
@@ -206,8 +206,12 @@ def build_plan(strat: StrategyConfig, tables: StepTables | None,
 
 
 def local_train(task: ClientTask, strat: StrategyConfig) -> ClientUpdate:
-    """Run the strategy's K SGD steps at ``task.bits`` and return the delta."""
-    plan = build_plan(strat, task.step_tables, task.bits)
+    """Run K SGD steps through ``task.plan``, plus the kurtosis regularizer
+    for kure, and return the delta.
+
+    The weight regularizer's gradients add into ``backward``'s weight views
+    in place, so the bias gradients are left as ``backward`` made them.
+    """
     regularize = strat.kind == "kure" and strat.lam != 0.0
     params = task.start_params.copy()
     trace: list[float] = []
@@ -215,18 +219,21 @@ def local_train(task: ClientTask, strat: StrategyConfig) -> ClientUpdate:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(task.local_steps):
             try:
-                loss, cache = forward(params, task.batches[k], plan,
+                loss, cache = forward(params, task.batches[k], task.plan,
                                       rng=task.noise_rng)
                 extra_act = None
                 if regularize and strat.quantize_acts:
-                    reg_a, act_grads = act_kure_terms(cache, strat.k_tau)
+                    reg_a, extra_act = kure_terms(cache.relu_raw, strat.k_tau)
                     loss += strat.lam * reg_a
-                    extra_act = [strat.lam * g for g in act_grads]
+                    for g in extra_act:
+                        g *= strat.lam
                 grads = backward(cache, extra_act_grads=extra_act)
                 if regularize and strat.quantize_weights:
-                    reg_w, reg_grads = kure_terms(params, strat.k_tau)
+                    reg_w, reg_grads = kure_terms(params.weights(), strat.k_tau)
                     loss += strat.lam * reg_w
-                    grads.add_scaled(reg_grads, strat.lam)
+                    for gw, g in zip(grads.weights(), reg_grads):
+                        g *= strat.lam
+                        gw += g
             except (NumericError, DegenerateTensorError) as exc:
                 raise DivergedError(
                     f"client {task.client_id} diverged at round {task.round_idx}, "

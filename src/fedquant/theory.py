@@ -26,6 +26,7 @@ the computed bound.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,13 @@ from .rng import Purpose, RngStream
 from .strategies import StepTables, StrategyConfig
 
 BOUND_METHODS = ("apqn", "qat", "mqat")
+NOISE_MEAN_SLACK = 0.02  # Monte-Carlo allowance on the mean apqn noise norm
+ESTIMATE_INFLATION = 2.0  # safety factor on the sampled L and variances
+# empirical_bound_check's batch size, local steps and quantizer range (as a
+# multiple of the largest initial weight magnitude)
+BOUND_CHECK_BATCH_SIZE = 8
+BOUND_CHECK_LOCAL_STEPS = 5
+BOUND_CHECK_RANGE_FACTOR = 4.0
 
 
 @dataclass
@@ -85,10 +93,7 @@ class BoundReport:
     bound: float | None
 
     def to_dict(self) -> dict:
-        return {"A": self.A, "B": self.B, "Gamma": self.Gamma, "H": self.H,
-                "R": self.R, "conditions_ok": self.conditions_ok,
-                "term_opt": self.term_opt, "term_floor": self.term_floor,
-                "bound": self.bound}
+        return dataclasses.asdict(self)
 
 
 def r_value(method: str, steps: tuple[float, ...]) -> float:
@@ -155,15 +160,14 @@ class NoiseStats:
 
 
 def empirical_noise_bound(params: ParamSet, steps: tuple[float, ...], method: str,
-                          trials: int, rng: RngStream,
-                          mean_slack: float = 0.02) -> NoiseStats:
+                          trials: int, rng: RngStream) -> NoiseStats:
     """Measure the squared noise norm against the dim * R^2 ceiling.
 
     Only weight tensors count: biases are never quantized, so the noise
     dimension is the number of quantized coordinates. For rounding methods
     the ceiling is exact on in-range weights, so no slack applies. For
     additive uniform noise the ceiling equals the expectation, so the sampled
-    mean sits within Monte-Carlo error of it; ``mean_slack`` (default 2%)
+    mean sits within Monte-Carlo error of it; ``NOISE_MEAN_SLACK`` (2%)
     absorbs that. The per-coordinate check allows a factor 2 for the noise
     method since its R is step/sqrt(12) while the support is step/2 wide.
     """
@@ -186,7 +190,7 @@ def empirical_noise_bound(params: ParamSet, steps: tuple[float, ...], method: st
             done += take
         mean_sq /= trials
         coord_cap = 2.0 * r
-        slack = mean_slack
+        slack = NOISE_MEAN_SLACK
     else:
         # rounding error is deterministic per step size; compute each once
         per_step = {}
@@ -226,50 +230,49 @@ def _spec_for_weights(flat: np.ndarray, step: float) -> QuantSpec:
 
 
 def _global_loss_grad(params: ParamSet, per_client: list[Batch]
-                      ) -> tuple[float, np.ndarray]:
-    """Mean over clients of full-batch loss/gradient (equal client weights)."""
+                      ) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """Mean over clients of full-batch loss/gradient (equal client weights),
+    and each client's full-batch gradient."""
     total_loss = 0.0
     total_grad = np.zeros(params.dim)
+    client_grads = []
     for batch in per_client:
         loss, cache = forward(params, batch)
         total_loss += loss
-        total_grad += backward(cache).vec
+        client_grads.append(backward(cache).vec)
+        total_grad += client_grads[-1]
     s = len(per_client)
-    return total_loss / s, total_grad / s
+    return total_loss / s, total_grad / s, client_grads
 
 
 def estimate_smoothness(params: ParamSet, per_client: list[Batch],
-                        num_pairs: int, radius: float, rng: RngStream,
-                        inflation: float = 2.0) -> float:
+                        num_pairs: int, radius: float, rng: RngStream) -> float:
     """Sampled Lipschitz constant of the global gradient, inflated for safety."""
     flat = params.vec
     best = 0.0
     for _ in range(num_pairs):
         x = flat + radius * rng.normal(flat.size)
         y = flat + radius * rng.normal(flat.size)
-        _, gx = _global_loss_grad(params.unflatten(x), per_client)
-        _, gy = _global_loss_grad(params.unflatten(y), per_client)
+        gx = _global_loss_grad(params.unflatten(x), per_client)[1]
+        gy = _global_loss_grad(params.unflatten(y), per_client)[1]
         denom = float(np.linalg.norm(x - y))
         if denom > 0:
             best = max(best, float(np.linalg.norm(gx - gy)) / denom)
-    return inflation * best
+    return ESTIMATE_INFLATION * best
 
 
 def estimate_variances(params: ParamSet, per_client: list[Batch],
                        batch_size: int, num_points: int, radius: float,
-                       rng: RngStream, inflation: float = 2.0
-                       ) -> tuple[float, float]:
+                       rng: RngStream) -> tuple[float, float]:
     """Sampled (sigma_l^2, sigma_g^2) upper bounds, inflated for safety."""
     flat = params.vec
     worst_local = 0.0
     worst_global = 0.0
     for _ in range(num_points):
         w = params.unflatten(flat + radius * rng.normal(flat.size))
-        _, g_global = _global_loss_grad(w, per_client)
+        _, g_global, client_grads = _global_loss_grad(w, per_client)
         gap_sum = 0.0
-        for batch in per_client:
-            _, cache = forward(w, batch)
-            g_full = backward(cache).vec
+        for batch, g_full in zip(per_client, client_grads):
             gap_sum += float(np.sum((g_full - g_global) ** 2))
             n = batch.size
             for _ in range(3):
@@ -280,7 +283,7 @@ def estimate_variances(params: ParamSet, per_client: list[Batch],
                 worst_local = max(worst_local,
                                   float(np.sum((g_mini - g_full) ** 2)))
         worst_global = max(worst_global, gap_sum / len(per_client))
-    return inflation * worst_local, inflation * worst_global
+    return ESTIMATE_INFLATION * worst_local, ESTIMATE_INFLATION * worst_global
 
 
 @dataclass
@@ -294,16 +297,15 @@ class BoundCheckResult:
 
 
 def empirical_bound_check(data: FederatedDataset, hidden: tuple[int, ...],
-                          train_bits: int, rounds: int, seed: int,
-                          batch_size: int = 8, local_steps: int = 5,
-                          range_factor: float = 4.0) -> BoundCheckResult:
+                          train_bits: int, rounds: int, seed: int
+                          ) -> BoundCheckResult:
     """Train with the rounding quantizer at rates satisfying the conditions
     and verify the measured min squared gradient norm stays below the bound.
 
     Constants are conservative sampled estimates; the quantizer range is set
-    generously (range_factor times the initial weight magnitude) so the
-    half-step noise assumption holds throughout the run. One-sided check:
-    the bound must dominate, tightness is not claimed.
+    generously (``BOUND_CHECK_RANGE_FACTOR`` times the initial weight
+    magnitude) so the half-step noise assumption holds throughout the run.
+    One-sided check: the bound must dominate, tightness is not claimed.
     """
     root = RngStream(seed)
     train = data.base
@@ -315,37 +317,38 @@ def empirical_bound_check(data: FederatedDataset, hidden: tuple[int, ...],
     est_rng = root.child(Purpose.EVAL)
     L = estimate_smoothness(params0, per_client, num_pairs=8, radius=0.5,
                             rng=est_rng)
-    sigma_l_sq, sigma_g_sq = estimate_variances(params0, per_client, batch_size,
-                                                num_points=4, radius=0.5,
-                                                rng=est_rng)
+    sigma_l_sq, sigma_g_sq = estimate_variances(
+        params0, per_client, BOUND_CHECK_BATCH_SIZE, num_points=4, radius=0.5,
+        rng=est_rng)
+    K = BOUND_CHECK_LOCAL_STEPS
     eta_s = 1.0
-    eta_c = min(1.0 / (10.0 * L * local_steps), 1.0 / (8.0 * L * local_steps * eta_s))
+    eta_c = min(1.0 / (10.0 * L * K), 1.0 / (8.0 * L * K * eta_s))
 
     # one shared generous step per tensor; R uses the largest of them
     absmax = float(np.max(np.abs(params0.vec)))
     grid_top = 2 ** (train_bits - 1) - 1
-    step = range_factor * absmax / grid_top
+    step = BOUND_CHECK_RANGE_FACTOR * absmax / grid_top
     tables = StepTables(weights=[StepTable({train_bits: step})
                                  for _ in params0.layers])
 
     cfg = FedConfig(total_rounds=rounds, num_clients=data.num_clients,
                     clients_per_round=data.num_clients, eta_s=eta_s, eta_c=eta_c,
-                    local_steps=local_steps, batch_size=batch_size,
+                    local_steps=K, batch_size=BOUND_CHECK_BATCH_SIZE,
                     server_opt="sgd", seed=seed, eval_every=max(1, rounds))
     strat = StrategyConfig(kind="qat", train_bits=train_bits)
 
-    loss0, g0 = _global_loss_grad(params0, per_client)
+    loss0, g0, _ = _global_loss_grad(params0, per_client)
     grad_sq = [float(g0 @ g0)]
     state = ServerState(round_idx=0, params=params0, step_tables=tables)
     for t in range(rounds):
         state, _ = step_round(state, cfg, strat, data, root)
         if t < rounds - 1:
-            _, g = _global_loss_grad(state.params, per_client)
+            g = _global_loss_grad(state.params, per_client)[1]
             grad_sq.append(float(g @ g))
 
     inputs = BoundInputs(L=L, sigma_l=math.sqrt(sigma_l_sq),
                          sigma_g=math.sqrt(sigma_g_sq), D=params0.dim,
-                         K=local_steps, T=rounds, eta_c=eta_c, eta_s=eta_s,
+                         K=K, T=rounds, eta_c=eta_c, eta_s=eta_s,
                          method="qat", steps=(step,), initial_gap=loss0)
     report = compute_bound(inputs)
     min_sq = float(np.min(grad_sq))

@@ -227,14 +227,28 @@ def kurtosis_gradient(w: np.ndarray) -> np.ndarray:
 
 
 def kure_loss(params: ParamSet, k_tau: float) -> float:
-    """``mlp.kure_terms``'s loss: the mean over weight tensors of
+    """``mlp.kure_terms``'s loss on the weights: the mean over them of
     (kurtosis(W) - k_tau)^2, biases excluded."""
     return float(np.mean([(kurtosis(w) - k_tau) ** 2 for w in params.weights()]))
 
 
 def kure_gradient(params: ParamSet, k_tau: float) -> ParamSet:
-    """``mlp.kure_terms``'s gradient: analytic, per weight tensor, with zero
-    bias slots."""
+    """``mlp.kure_terms``'s gradient on the weight tensors, analytic, in a
+    ParamSet with zero bias slots."""
     m = params.num_layers
     return ParamSet([((2.0 * (kurtosis(w) - k_tau) / m) * kurtosis_gradient(w),
                       np.zeros_like(b)) for w, b in params.layers])
+
+
+def act_kure_oracle(acts: list[np.ndarray], k_tau: float
+                    ) -> tuple[float, list[np.ndarray]]:
+    """The activation penalty before it shared ``mlp.kure_terms``: the sum
+    of (kurtosis(r) - k_tau)^2 / m, left to right over the m activations,
+    and the gradients (2 * (kurtosis(r) - k_tau) / m) * dK/dr."""
+    m = len(acts)
+    loss, grads = 0.0, []
+    for r in acts:
+        k = kurtosis(r)
+        loss += (k - k_tau) ** 2 / m
+        grads.append((2.0 * (k - k_tau) / m) * kurtosis_gradient(r))
+    return loss, grads

@@ -132,9 +132,11 @@ def test_criterion_3_gradient_correctness():
     lam = 0.3
     _, cache = forward(params, batch)
     kure_grads = backward(cache)
-    kure_grads.add_scaled(kure_terms(params, 1.8)[1], lam)
+    for gw, g in zip(kure_grads.weights(), kure_terms(params.weights(), 1.8)[1]):
+        gw += lam * g
     err_kure = check_gradients(
-        params, lambda p: forward(p, batch)[0] + lam * kure_terms(p, 1.8)[0],
+        params,
+        lambda p: forward(p, batch)[0] + lam * kure_terms(p.weights(), 1.8)[0],
         kure_grads)
 
     plan = QuantPlan(weights=[0.2] * params.num_layers)

@@ -8,14 +8,15 @@ import pytest
 
 from fedquant.errors import (DegenerateTensorError, NumericError, ShapeError,
                              UsageError)
-from fedquant.mlp import (Batch, ParamSet, QuantPlan, act_kure_terms, backward,
+from fedquant.mlp import (Batch, ParamSet, QuantPlan, _softmax_ce, backward,
                           forward, init_params, kure_terms, matmul,
                           predict_logits)
 from fedquant.quantize import QuantSpec, make_spec, quantize
 from fedquant.rng import RngStream
-from helpers import (add_scaled_oracle, check_gradients, flatten_oracle,
-                     kure_gradient, kure_loss, kurtosis, kurtosis_gradient,
-                     unflatten_oracle)
+from fedquant.strategies import ClientTask, StrategyConfig, local_train
+from helpers import (act_kure_oracle, add_scaled_oracle, check_gradients,
+                     flatten_oracle, kure_gradient, kure_loss, kurtosis,
+                     kurtosis_gradient, unflatten_oracle)
 
 
 def small_net(widths, seed=0):
@@ -125,8 +126,7 @@ class TestParamSet:
         params = small_net(widths, seed=5)
         _, cache = forward(params, random_batch(6, widths[0], widths[-1]))
         for made in (params, params.copy(), params.unflatten(np.zeros(params.dim)),
-                     ParamSet(params.layers), backward(cache),
-                     kure_terms(params, 1.8)[1]):
+                     ParamSet(params.layers), backward(cache)):
             assert made.flatten().dtype == np.float64
             assert made.flatten().shape == (params.dim,)
             assert all(np.shares_memory(t, made.flatten())
@@ -314,44 +314,70 @@ class TestKureRegularizer:
         # one weight tensor with kurtosis exactly 3 gives (3 - 1.8)^2 = 1.44
         w = RngStream(105).normal((40, 25))
         k = kurtosis(w)
-        params = ParamSet([(w, np.zeros(25))])
-        loss, _ = kure_terms(params, k_tau=k - 1.2)
+        loss, _ = kure_terms([w], k_tau=k - 1.2)
         assert loss == pytest.approx((1.2) ** 2, rel=1e-12)
 
     def test_loss_nonnegative_and_zero_at_target(self):
         params = small_net([6, 8, 4], seed=51)
-        assert kure_terms(params, 1.8)[0] >= 0.0
-        k0 = kurtosis(params.layers[0][0])
-        loss, grad = kure_terms(ParamSet([params.layers[0]]), k0)
+        assert kure_terms(params.weights(), 1.8)[0] >= 0.0
+        w0 = params.layers[0][0]
+        loss, grads = kure_terms([w0], kurtosis(w0))
         assert loss == 0.0
-        assert np.all(grad.flatten() == 0.0)
+        assert len(grads) == 1 and grads[0].shape == w0.shape
+        assert np.all(grads[0] == 0.0)
+
+    def test_needs_a_tensor(self):
+        with pytest.raises(ShapeError):
+            kure_terms([], 1.8)
 
     def test_gradient_matches_fd(self):
         params = small_net([5, 6, 3], seed=52)
-        _, grads = kure_terms(params, 1.8)
-        err = check_gradients(params, lambda p: kure_terms(p, 1.8)[0], grads)
+        grads = params.unflatten(np.zeros(params.dim))
+        for gw, g in zip(grads.weights(), kure_terms(params.weights(), 1.8)[1]):
+            gw += g
+        err = check_gradients(params, lambda p: kure_terms(p.weights(), 1.8)[0],
+                              grads)
         assert err < 1e-6
-
-    def test_bias_slots_untouched(self):
-        params = small_net([5, 6, 3], seed=53)
-        _, grads = kure_terms(params, 1.8)
-        for _, gb in grads.layers:
-            assert np.all(gb == 0.0)
 
     def test_fused_pass_equals_the_oracles_bitwise(self):
         params = small_net([32, 64, 48, 10], seed=54)
-        loss, grads = kure_terms(params, 1.8)
+        loss, grads = kure_terms(params.weights(), 1.8)
         assert loss == kure_loss(params, 1.8)
-        assert grads.flatten().tobytes() == kure_gradient(params, 1.8).flatten().tobytes()
+        assert [g.tobytes() for g in grads] == \
+               [g.tobytes() for g in kure_gradient(params, 1.8).weights()]
+
+    @pytest.mark.parametrize("hidden", [[64], [64, 48], [64, 48, 24]],
+                             ids=["1-act", "2-acts", "3-acts"])
+    def test_activations_against_the_old_formula(self, hidden):
+        """Equal to the old left-to-right ``sum (k - tau)^2 / m`` for one and
+        two activations, where dividing by m is exact; from three on, the
+        penalty is ``np.mean`` of the per-tensor penalties, the weights' form.
+        The gradients equal the old ones at any depth."""
+        params = small_net([32, *hidden, 10], seed=54)
         _, cache = forward(params, random_batch(20, 32, 10, seed=55))
-        loss, act_grads = act_kure_terms(cache, 1.8)
-        m = len(cache.relu_raw)
-        want_loss = 0.0
-        for r, g in zip(cache.relu_raw, act_grads):
-            want_loss += (kurtosis(r) - 1.8) ** 2 / m
-            assert np.array_equal(
-                g, (2.0 * (kurtosis(r) - 1.8) / m) * kurtosis_gradient(r))
-        assert loss == want_loss
+        loss, grads = kure_terms(cache.relu_raw, 1.8)
+        old_loss, old_grads = act_kure_oracle(cache.relu_raw, 1.8)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in old_grads]
+        if len(hidden) <= 2:
+            assert loss == old_loss
+        assert loss == float(np.mean([(kurtosis(r) - 1.8) ** 2
+                                      for r in cache.relu_raw]))
+
+    def test_kure_step_leaves_bias_gradients_untouched(self):
+        """``local_train`` adds the weight penalty's gradients into
+        ``backward``'s weight views only: after one step the bias slots of
+        the kure delta equal the baseline's bit for bit."""
+        params = small_net([5, 6, 4, 3], seed=53)
+        batch = random_batch(8, 5, 3, seed=56)
+        deltas = []
+        for strat in (StrategyConfig(), StrategyConfig(kind="kure", lam=0.5)):
+            task = ClientTask(client_id=0, round_idx=0, start_params=params,
+                              plan=QuantPlan(), eta_c=0.1, batches=[batch],
+                              bits=None, noise_rng=None)
+            deltas.append(params.unflatten(local_train(task, strat).delta))
+        for (base_w, base_b), (kure_w, kure_b) in zip(*(d.layers for d in deltas)):
+            assert base_b.tobytes() == kure_b.tobytes()
+            assert not np.array_equal(base_w, kure_w)
 
 
 class TestActivationKure:
@@ -362,11 +388,10 @@ class TestActivationKure:
 
         def loss_fn(p):
             loss, cache = forward(p, batch)
-            reg, _ = act_kure_terms(cache, 1.8)
-            return loss + lam * reg
+            return loss + lam * kure_terms(cache.relu_raw, 1.8)[0]
 
         _, cache = forward(params, batch)
-        reg, act_grads = act_kure_terms(cache, 1.8)
+        _, act_grads = kure_terms(cache.relu_raw, 1.8)
         grads = backward(cache, extra_act_grads=[lam * g for g in act_grads])
         assert check_gradients(params, loss_fn, grads) < 1e-5
 
@@ -375,6 +400,8 @@ class TestPredictLogits:
     def test_matches_forward_pre_softmax(self):
         params = small_net([4, 6, 3], seed=71)
         batch = random_batch(10, 4, 3, seed=72)
-        _, cache = forward(params, batch)
-        assert np.array_equal(predict_logits(params, batch.inputs),
-                              cache.pre_acts[-1])
+        loss, cache = forward(params, batch)
+        want_loss, want_probs = _softmax_ce(predict_logits(params, batch.inputs),
+                                            batch.labels)
+        assert loss == want_loss
+        assert cache.probs.tobytes() == want_probs.tobytes()

@@ -79,12 +79,14 @@ def test_traced_run_sees_every_client_task(tmp_path):
     ({"kind": "mqat", "bit_set": [2, 4]}, 2),
     ({"kind": "apqn", "train_bits": 4}, 2),
     ({"kind": "qat", "train_bits": 2}, 1),
-], ids=["mqat", "apqn", "qat"])
+    ({"kind": "apqn", "train_bits": 32}, 1),
+], ids=["mqat", "apqn", "qat", "apqn-32"])
 def test_span_granularity_is_pinned(strategy, derived_per_client, tmp_path):
     """Each per-layer metric counts one call per unit of work: one forward and
     one backward per local step, two matmuls per forward (the two layers of
     ``TRACED``) and one stream derivation per client and round for each of
-    batch, noise (apqn only) and bit choice (mqat only). The next round's
+    batch, noise (only for a plan that draws noise: apqn below 32 bits) and
+    bit choice (mqat only). The next round's
     client-sampling stream is derived before ``sample_clients`` starts that
     round, so it counts to this one."""
     cfg = tmp_path / "config.json"

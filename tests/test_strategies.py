@@ -12,8 +12,8 @@ from fedquant.federation import init_state, make_calibration_batch
 from fedquant.mlp import Batch, backward, forward, init_params
 from fedquant.quantize import quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
-from fedquant.strategies import (ClientTask, StrategyConfig, calibrate_steps,
-                                 local_train, resolve_bits)
+from fedquant.strategies import (ClientTask, StrategyConfig, build_plan,
+                                 calibrate_steps, local_train, resolve_bits)
 from helpers import kure_gradient, steps_consistent
 
 
@@ -27,12 +27,20 @@ def make_batches(count, n=12, d=6, classes=4, seed=1):
             for _ in range(count)]
 
 
-def make_task(params, batches, tables=None, bits=None, eta=0.1, client=3,
-              round_idx=2):
+def make_task(params, batches, strat, tables=None, bits=None, eta=0.1,
+              client=3, round_idx=2):
+    """The task ``step_round`` would build: the plan ``build_plan`` makes and
+    a noise stream only if that plan draws noise."""
+    plan = build_plan(strat, tables, bits)
     return ClientTask(client_id=client, round_idx=round_idx, start_params=params,
-                      step_tables=tables, eta_c=eta, batches=batches, bits=bits,
+                      plan=plan, eta_c=eta, batches=batches, bits=bits,
                       noise_rng=RngStream(0, (Purpose.NOISE, round_idx, client,
-                                              Purpose.NOISE)))
+                                              Purpose.NOISE))
+                      if plan.needs_rng else None)
+
+
+def train(params, batches, strat, **task):
+    return local_train(make_task(params, batches, strat, **task), strat)
 
 
 class TestStrategyConfig:
@@ -148,7 +156,7 @@ class TestLocalTrain:
     def test_single_step_matches_sgd_oracle(self):
         params = make_net(seed=11)
         batches = make_batches(1, seed=12)
-        update = local_train(make_task(params, batches), StrategyConfig())
+        update = train(params, batches, StrategyConfig())
         # independent one-step oracle; (w - eta*g) - w reassociates the last
         # bits, so the comparison is tight-tolerance rather than bitwise
         _, cache = forward(params, batches[0])
@@ -159,7 +167,7 @@ class TestLocalTrain:
     def test_multi_step_matches_composed_oracle(self):
         params = make_net(seed=13)
         batches = make_batches(3, seed=14)
-        update = local_train(make_task(params, batches), StrategyConfig())
+        update = train(params, batches, StrategyConfig())
         shadow = params.copy()
         for b in batches:
             _, cache = forward(shadow, b)
@@ -169,7 +177,7 @@ class TestLocalTrain:
     def test_delta_norm_bounded_by_step_norms(self):
         params = make_net(seed=15)
         batches = make_batches(4, seed=16)
-        update = local_train(make_task(params, batches), StrategyConfig())
+        update = train(params, batches, StrategyConfig())
         shadow = params.copy()
         norm_sum = 0.0
         for b in batches:
@@ -186,45 +194,43 @@ class TestLocalTrain:
         params = make_net(seed=17)
         batches = make_batches(2, seed=18)
         tables = calibrate_steps(params, (32,), None, quantize_acts=False)
-        base = local_train(make_task(params, batches), StrategyConfig())
-        qat = local_train(make_task(params, batches, tables=tables, bits=32),
-                          StrategyConfig(kind="qat", train_bits=32))
+        base = train(params, batches, StrategyConfig())
+        qat = train(params, batches, StrategyConfig(kind="qat", train_bits=32),
+                    tables=tables, bits=32)
         assert np.array_equal(base.delta, qat.delta)
         act_tables = calibrate_steps(params, (32,), batches[0], quantize_acts=True)
-        apqn = local_train(make_task(params, batches, tables=act_tables, bits=32),
-                           StrategyConfig(kind="apqn", train_bits=32,
-                                          quantize_acts=True))
+        apqn = train(params, batches,
+                     StrategyConfig(kind="apqn", train_bits=32, quantize_acts=True),
+                     tables=act_tables, bits=32)
         assert np.array_equal(base.delta, apqn.delta)
         mixed = calibrate_steps(params, (2, 32), batches[0], quantize_acts=True)
-        mqat = local_train(make_task(params, batches, tables=mixed, bits=32),
-                           StrategyConfig(kind="mqat", bit_set=(2, 32),
-                                          quantize_acts=True))
+        mqat = train(params, batches,
+                     StrategyConfig(kind="mqat", bit_set=(2, 32), quantize_acts=True),
+                     tables=mixed, bits=32)
         assert np.array_equal(base.delta, mqat.delta)
 
     def test_kure_lambda_zero_reduces_to_baseline(self):
         params = make_net(seed=19)
         batches = make_batches(2, seed=20)
-        base = local_train(make_task(params, batches), StrategyConfig())
-        kure = local_train(make_task(params, batches),
-                           StrategyConfig(kind="kure", lam=0.0))
+        base = train(params, batches, StrategyConfig())
+        kure = train(params, batches, StrategyConfig(kind="kure", lam=0.0))
         assert np.array_equal(base.delta, kure.delta)
 
     def test_mqat_singleton_equals_qat(self):
         params = make_net(seed=21)
         batches = make_batches(2, seed=22)
         tables = calibrate_steps(params, (4,), None, quantize_acts=False)
-        qat = local_train(make_task(params, batches, tables=tables, bits=4),
-                          StrategyConfig(kind="qat", train_bits=4))
-        mqat = local_train(make_task(params, batches, tables=tables, bits=4),
-                           StrategyConfig(kind="mqat", bit_set=(4,)))
+        qat = train(params, batches, StrategyConfig(kind="qat", train_bits=4),
+                    tables=tables, bits=4)
+        mqat = train(params, batches, StrategyConfig(kind="mqat", bit_set=(4,)),
+                     tables=tables, bits=4)
         assert np.array_equal(qat.delta, mqat.delta)
 
     def test_kure_gradient_included(self):
         params = make_net(seed=23)
         batches = make_batches(1, seed=24)
         lam = 0.7
-        update = local_train(make_task(params, batches),
-                             StrategyConfig(kind="kure", lam=lam))
+        update = train(params, batches, StrategyConfig(kind="kure", lam=lam))
         _, cache = forward(params, batches[0])
         grad = backward(cache)
         grad.add_scaled(kure_gradient(params, 1.8), lam)
@@ -237,8 +243,8 @@ class TestLocalTrain:
         params = make_net(seed=25)
         batches = make_batches(3, seed=26)
         tables = calibrate_steps(params, (2,), None, quantize_acts=False)
-        update = local_train(make_task(params, batches, tables=tables, bits=2),
-                             StrategyConfig(kind="qat", train_bits=2))
+        update = train(params, batches, StrategyConfig(kind="qat", train_bits=2),
+                       tables=tables, bits=2)
         final = params.flatten() + update.delta
         spec = tables.weights[0].spec_for(2)
         w0 = params.unflatten(final).layers[0][0]
@@ -249,14 +255,15 @@ class TestLocalTrain:
         batches = make_batches(2, seed=28)
         tables = calibrate_steps(params, (4,), None, quantize_acts=False)
         strat = StrategyConfig(kind="apqn", train_bits=4)
-        a = local_train(make_task(params, batches, tables=tables, bits=4), strat)
-        b = local_train(make_task(params, batches, tables=tables, bits=4), strat)
+        a = train(params, batches, strat, tables=tables, bits=4)
+        b = train(params, batches, strat, tables=tables, bits=4)
         assert np.array_equal(a.delta, b.delta)
 
     def test_divergence_reports_round_and_client(self):
         params = make_net(seed=29)
         batches = make_batches(2, seed=30)
-        task = make_task(params, batches, eta=1e300, client=9, round_idx=4)
+        task = make_task(params, batches, StrategyConfig(), eta=1e300, client=9,
+                         round_idx=4)
         with pytest.raises(DivergedError) as err:
             local_train(task, StrategyConfig())
         assert err.value.client_id == 9
@@ -267,7 +274,8 @@ class TestLocalTrain:
         # forward pass sees it, so the delta check must name the client
         params = make_net(seed=29)
         batches = [Batch(b.inputs * 1e3, b.labels) for b in make_batches(1, seed=30)]
-        task = make_task(params, batches, eta=1e308, client=9, round_idx=4)
+        task = make_task(params, batches, StrategyConfig(), eta=1e308, client=9,
+                         round_idx=4)
         with pytest.raises(DivergedError, match="update non-finite") as err:
             local_train(task, StrategyConfig())
         assert (err.value.round_idx, err.value.client_id) == (4, 9)
@@ -280,4 +288,4 @@ class TestLocalTrain:
                       StrategyConfig(kind="qat", train_bits=4),
                       StrategyConfig(kind="mqat", bit_set=(2, 4))):
             with pytest.raises(ConfigError, match="unsupported bit-width None"):
-                local_train(make_task(params, batches, tables=tables), strat)
+                make_task(params, batches, strat, tables=tables)
