@@ -205,19 +205,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, str(exc)
     except DivergedError as exc:
         where = f" (round {exc.round_idx}, client {exc.client_id})" \
             if exc.round_idx is not None else ""
-        print(f"error: training diverged{where}: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        code, message = EXIT_DIVERGED, f"training diverged{where}: {exc}"
     except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"I/O failure: {exc}"
     except FedQuantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, str(exc)
+    # one line, even where the message quotes a line break (in a path, say)
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

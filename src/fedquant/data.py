@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,6 @@ class FederatedDataset:
     @property
     def num_clients(self) -> int:
         return len(self.assignment)
-
-    def client_indices(self, client_id: int) -> np.ndarray:
-        return self.assignment[client_id]
 
 
 def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
@@ -147,14 +145,16 @@ def partition_stats(labels: np.ndarray, assignment: list[np.ndarray],
     }
 
 
-def load_csv(path: str, num_classes: int | None = None) -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Header-less ``label,f1,...,fd`` rows; ragged rows, non-finite values
     and labels that are not int64 integers are rejected with their line.
 
-    Without ``num_classes`` the labels must be exactly 0..K-1, each with at
-    least one row: one stray large label would otherwise size the classifier.
-    The error names the smallest negative label or the first missing class.
+    The labels must be exactly 0..K-1 (K classes), each with at least one
+    row: one stray large label would otherwise size the classifier. The
+    error names the smallest negative label or the first missing class.
     """
+    if not os.path.isfile(path):  # missing, a directory or not a valid path
+        raise ConfigError(f"data file not found: {path}")
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -184,14 +184,13 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
         raise ConfigError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
     labels = arr[:, 0].astype(np.int64)
-    if num_classes is None:
-        present = np.unique(labels)
-        if present[0] < 0:
-            raise ConfigError(f"{path}: label {int(present[0])} is negative")
-        num_classes = int(present[-1]) + 1
-        # sorted distinct labels from 0 are dense until the first gap
-        gaps = np.flatnonzero(present != np.arange(present.size))
-        if gaps.size:
-            raise ConfigError(f"{path}: labels are not dense 0..{num_classes - 1}: "
-                              f"class {int(gaps[0])} has no rows")
+    present = np.unique(labels)
+    if present[0] < 0:
+        raise ConfigError(f"{path}: label {int(present[0])} is negative")
+    num_classes = int(present[-1]) + 1
+    # sorted distinct labels from 0 are dense until the first gap
+    gaps = np.flatnonzero(present != np.arange(present.size))
+    if gaps.size:
+        raise ConfigError(f"{path}: labels are not dense 0..{num_classes - 1}: "
+                          f"class {int(gaps[0])} has no rows")
     return Dataset(arr[:, 1:], labels, num_classes)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .federation import ServerState
-from .mlp import Batch, ParamSet, mean_cross_entropy, predict_logits, forward
+from .mlp import Batch, ParamSet, forward, predict_logits, score
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec, StepTable,
                        estimate_range_mse, quantize)
 from .strategies import StrategyConfig
@@ -162,12 +162,11 @@ def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
 
 def evaluate(params: ParamSet, act_specs: list[QuantSpec | None] | None,
              dataset: Dataset) -> tuple[float, float]:
-    """Top-1 accuracy (argmax ties go to the lowest class) and mean CE loss."""
+    """``mlp.score`` of ``params`` on ``dataset``, each hidden activation on
+    its ``act_specs`` grid (a None list or entry leaves it unquantized)."""
     if dataset.size == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    logits = predict_logits(params, dataset.inputs, act_specs)
-    acc = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
-    return acc, mean_cross_entropy(logits, dataset.labels)
+    return score(predict_logits(params, dataset.inputs, act_specs), dataset.labels)
 
 
 def sweep(state: ServerState, strat: StrategyConfig,

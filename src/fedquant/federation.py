@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, FederatedDataset
 from .errors import AggregationError, ConfigError, DivergedError, ShapeError
-from .mlp import Batch, ParamSet, init_params, mean_cross_entropy, predict_logits
+from .mlp import Batch, ParamSet, init_params, predict_logits, score
 from .quantize import QuantSpec, StepTable
 from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
@@ -196,10 +196,8 @@ def _resolve_local_steps(cfg: FedConfig, n_local: int) -> int:
 
 
 def evaluate_global(params: ParamSet, dataset: Dataset) -> tuple[float, float]:
-    """Full-precision top-1 accuracy and mean cross-entropy."""
-    logits = predict_logits(params, dataset.inputs)
-    acc = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
-    return acc, mean_cross_entropy(logits, dataset.labels)
+    """Full-precision ``mlp.score`` (accuracy, loss) of ``params`` on ``dataset``."""
+    return score(predict_logits(params, dataset.inputs), dataset.labels)
 
 
 def init_state(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
@@ -229,15 +227,16 @@ def init_state(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
 
 def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
                data: FederatedDataset, root: RngStream,
-               pool: Executor | None = None
-               ) -> tuple[ServerState, list[ClientUpdate]]:
+               map_clients=map) -> tuple[ServerState, list[ClientUpdate]]:
     """Run round ``state.round_idx``: sample clients, build each one's
     ``ClientTask`` (batches, bit-width, the plan ``build_plan`` makes from
     ``state.step_tables`` and, if that plan draws noise, a noise stream) and
     train it from the global parameters, aggregate, server step.
 
-    ``root`` is the run's ``RngStream(cfg.seed)``, from which every client
-    stream derives, so the optional ``pool`` cannot change the result.
+    ``map_clients(run_client, ids)`` returns the updates in ``ids`` order
+    (builtin ``map`` trains one client after another, a pool's ``map`` in
+    parallel). Every client stream derives from ``root``, the run's
+    ``RngStream(cfg.seed)``, so the order clients run in cannot change the result.
     """
     t = state.round_idx
     train = data.base
@@ -245,7 +244,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
                               root.child(Purpose.CLIENT_SAMPLING, t))
 
     def run_client(client_id: int) -> ClientUpdate:
-        indices = data.client_indices(client_id)
+        indices = data.assignment[client_id]
         steps = _resolve_local_steps(cfg, indices.size)
         batch_rng = root.child(Purpose.BATCH, t, client_id)
         bits = resolve_bits(strat, t, client_id, root)
@@ -260,11 +259,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
                        if plan.needs_rng else None)),
             strat)
 
-    ids = [int(cid) for cid in selected]
-    if pool is not None:
-        updates = list(pool.map(run_client, ids))
-    else:
-        updates = [run_client(cid) for cid in ids]
+    updates = list(map_clients(run_client, [int(cid) for cid in selected]))
     return server_step(state, aggregate(updates), cfg), updates
 
 
@@ -275,18 +270,21 @@ def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
 
     ``progress`` is an optional callback(round_idx, HistoryRow) fired at each
     evaluation round. ``threads`` bounds the client thread pool, which runs
-    only for models of at least ``POOL_MIN_PARAMS`` parameters; the result is
-    independent of the thread count by construction.
+    only for models of at least ``POOL_MIN_PARAMS`` parameters (``step_round``
+    gets its ``map``, else builtin ``map``); the result is independent of the
+    thread count by construction.
     """
     state = init_state(cfg, strat, data, hidden)
     root = RngStream(cfg.seed)
     history = TrainingHistory()
-    pool = None
+    pool, map_clients = None, map
     if threads > 1 and state.params.dim >= POOL_MIN_PARAMS:
         pool = ThreadPoolExecutor(max_workers=threads)
+        map_clients = pool.map
     try:
         for t in range(cfg.total_rounds):
-            state, updates = step_round(state, cfg, strat, data, root, pool)
+            state, updates = step_round(state, cfg, strat, data, root,
+                                        map_clients)
             if (t + 1) % cfg.eval_every == 0 or t == cfg.total_rounds - 1:
                 acc, loss = evaluate_global(state.params, data.holdout)
                 client_loss = float(np.mean(

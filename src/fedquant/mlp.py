@@ -317,7 +317,11 @@ def predict_logits(params: ParamSet, inputs: np.ndarray,
     return h
 
 
-def mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    loss, _ = _softmax_ce(logits, np.asarray(labels, dtype=np.int64))
-    return loss
+def score(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Top-1 accuracy (argmax ties go to the lowest class) and mean
+    cross-entropy of ``logits`` against integer ``labels``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
+    loss, _ = _softmax_ce(logits, labels)
+    return acc, loss
 

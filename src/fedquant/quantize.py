@@ -126,6 +126,7 @@ def quantize(w: np.ndarray, spec: QuantSpec,
 
 
 _BLOCK_ELEMENTS = 16384  # candidate rows x tensor elements per kernel pass
+RANGE_CANDIDATES = 100  # clipping ranges each estimate_range_mse search tries
 
 
 def candidate_mse(w: np.ndarray, steps: np.ndarray, bits: int,
@@ -161,24 +162,21 @@ def candidate_mse(w: np.ndarray, steps: np.ndarray, bits: int,
     return mse
 
 
-def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True,
-                       num_candidates: int = 100) -> QuantSpec:
+def estimate_range_mse(w: np.ndarray, bits: int, signed: bool = True) -> QuantSpec:
     """Grid-search the clipping range that minimizes reconstruction MSE.
 
-    Candidate maxima are (j / num_candidates) * max|w| for j = 1..num_candidates;
+    Candidate maxima are (j / n) * max|w| for j = 1..n, n = RANGE_CANDIDATES;
     ties break toward the larger range. An all-zero tensor cannot anchor a
     range, so it falls back to a unit range (step ``1 / grid_max``).
     """
     _check_bits(bits)
-    if num_candidates < 2:
-        raise ConfigError("need at least 2 range candidates")
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ConfigError("cannot estimate a range for an empty tensor")
     absmax = float(np.max(np.abs(w)))
     if absmax == 0.0:
         return make_spec(1.0, bits, signed)
-    ranges = absmax * (np.arange(num_candidates, 0, -1) / num_candidates)
+    ranges = absmax * (np.arange(RANGE_CANDIDATES, 0, -1) / RANGE_CANDIDATES)
     steps = ranges / grid_bounds(bits, signed)[1]
     bad = np.flatnonzero(~((steps > 0.0) & (steps < np.inf)))
     if bad.size:  # a non-finite tensor, or a step that underflows to zero

@@ -25,7 +25,6 @@ from .rng import Purpose, RngStream
 
 STRATEGY_KINDS = ("baseline", "kure", "apqn", "qat", "mqat")
 MQAT_MODES = ("per_round", "fixed_per_client")
-CALIBRATION_CANDIDATES = 100  # clipping ranges each calibration search tries
 
 
 @dataclass
@@ -71,6 +70,9 @@ class StrategyConfig:
         for b in self.bit_set:
             if b not in SUPPORTED_BITS:
                 raise ConfigError(f"unsupported bit-width {b} in bit_set")
+        # resolve_bits draws over the tuple: a repeat would be drawn more often
+        if len(set(self.bit_set)) != len(self.bit_set):
+            raise ConfigError(f"bit_set {list(self.bit_set)} repeats a bit-width")
         if self.quantizing and not (self.quantize_weights or self.quantize_acts):
             raise ConfigError(f"{self.kind} must target weights or activations")
 
@@ -169,8 +171,7 @@ def calibrate_steps(params: ParamSet, bits: tuple[int, ...],
     anchor = real_bits[0]
 
     def table_for(tensor: np.ndarray, signed: bool) -> StepTable:
-        spec = estimate_range_mse(tensor, anchor, signed=signed,
-                                  num_candidates=CALIBRATION_CANDIDATES)
+        spec = estimate_range_mse(tensor, anchor, signed=signed)
         steps = {anchor: spec.step}
         for b in real_bits[1:]:
             steps[b] = rescale_step(spec.step, anchor, b)

@@ -48,6 +48,10 @@ ESTIMATE_INFLATION = 2.0  # safety factor on the sampled L and variances
 BOUND_CHECK_BATCH_SIZE = 8
 BOUND_CHECK_LOCAL_STEPS = 5
 BOUND_CHECK_RANGE_FACTOR = 4.0
+# sample counts and Gaussian offset (std) of the L and variance estimates
+SMOOTHNESS_PAIRS = 8
+VARIANCE_POINTS = 4
+ESTIMATE_RADIUS = 0.5
 
 
 @dataclass
@@ -246,13 +250,13 @@ def _global_loss_grad(params: ParamSet, per_client: list[Batch]
 
 
 def estimate_smoothness(params: ParamSet, per_client: list[Batch],
-                        num_pairs: int, radius: float, rng: RngStream) -> float:
+                        rng: RngStream) -> float:
     """Sampled Lipschitz constant of the global gradient, inflated for safety."""
     flat = params.vec
     best = 0.0
-    for _ in range(num_pairs):
-        x = flat + radius * rng.normal(flat.size)
-        y = flat + radius * rng.normal(flat.size)
+    for _ in range(SMOOTHNESS_PAIRS):
+        x = flat + ESTIMATE_RADIUS * rng.normal(flat.size)
+        y = flat + ESTIMATE_RADIUS * rng.normal(flat.size)
         gx = _global_loss_grad(params.unflatten(x), per_client)[1]
         gy = _global_loss_grad(params.unflatten(y), per_client)[1]
         denom = float(np.linalg.norm(x - y))
@@ -262,21 +266,20 @@ def estimate_smoothness(params: ParamSet, per_client: list[Batch],
 
 
 def estimate_variances(params: ParamSet, per_client: list[Batch],
-                       batch_size: int, num_points: int, radius: float,
                        rng: RngStream) -> tuple[float, float]:
     """Sampled (sigma_l^2, sigma_g^2) upper bounds, inflated for safety."""
     flat = params.vec
     worst_local = 0.0
     worst_global = 0.0
-    for _ in range(num_points):
-        w = params.unflatten(flat + radius * rng.normal(flat.size))
+    for _ in range(VARIANCE_POINTS):
+        w = params.unflatten(flat + ESTIMATE_RADIUS * rng.normal(flat.size))
         _, g_global, client_grads = _global_loss_grad(w, per_client)
         gap_sum = 0.0
         for batch, g_full in zip(per_client, client_grads):
             gap_sum += float(np.sum((g_full - g_global) ** 2))
             n = batch.size
             for _ in range(3):
-                sel = rng.integers(n, size=min(batch_size, n))
+                sel = rng.integers(n, size=min(BOUND_CHECK_BATCH_SIZE, n))
                 mini = Batch(batch.inputs[sel], batch.labels[sel])
                 _, mc = forward(w, mini)
                 g_mini = backward(mc).vec
@@ -315,11 +318,8 @@ def empirical_bound_check(data: FederatedDataset, hidden: tuple[int, ...],
                   for idx in data.assignment]
 
     est_rng = root.child(Purpose.EVAL)
-    L = estimate_smoothness(params0, per_client, num_pairs=8, radius=0.5,
-                            rng=est_rng)
-    sigma_l_sq, sigma_g_sq = estimate_variances(
-        params0, per_client, BOUND_CHECK_BATCH_SIZE, num_points=4, radius=0.5,
-        rng=est_rng)
+    L = estimate_smoothness(params0, per_client, est_rng)
+    sigma_l_sq, sigma_g_sq = estimate_variances(params0, per_client, est_rng)
     K = BOUND_CHECK_LOCAL_STEPS
     eta_s = 1.0
     eta_c = min(1.0 / (10.0 * L * K), 1.0 / (8.0 * L * K * eta_s))

@@ -13,7 +13,7 @@ from fedquant.errors import DegenerateTensorError, NumericError, ShapeError
 from fedquant.federation import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                  _tables_to_json, config_hash)
 from fedquant.mlp import Batch, ParamSet
-from fedquant.quantize import QuantSpec, StepTable, make_spec
+from fedquant.quantize import RANGE_CANDIDATES, QuantSpec, StepTable, make_spec
 from fedquant.rng import _GOLDEN, _MIX1, _MIX2
 
 
@@ -48,7 +48,7 @@ def steps_consistent(table: StepTable, rel_tol: float = 1e-12) -> bool:
 
 
 def range_search_oracle(w: np.ndarray, bits: int, signed: bool = True,
-                        num_candidates: int = 100):
+                        num_candidates: int = RANGE_CANDIDATES):
     """The MSE range search as one ``quantize`` call per candidate range.
 
     Returns the chosen spec (strict ``<`` over j = num_candidates..1, so ties

@@ -328,6 +328,8 @@ MALFORMED_INPUTS = {
     "csv-nan-feature": _csv_data("1,0.5,nan,0.5,0.5,0.5,0.5"),
     "csv-nan-label": _csv_data("nan,0.5,0.5,0.5,0.5,0.5,0.5"),
     "csv-sparse-label": _csv_data("50000,0.5,0.5,0.5,0.5,0.5,0.5"),
+    "csv-path-missing": _override('data.csv_path="missing.csv"'),
+    "csv-path-with-line-break": _override('data.csv_path="missing\\nfile.csv"'),
     "config-list-root-with-override": _config_root([]),
     "config-string-root-with-override": _config_root("abc"),
     "override-str-as-int": _override('federation.total_rounds="abc"'),
@@ -343,6 +345,7 @@ MALFORMED_INPUTS = {
     "override-kure-acts-on-single-activations": _override(
         'strategy.kind="kure"', "strategy.quantize_acts=true",
         "federation.batch_size=1", "model.hidden=[1]"),
+    "override-duplicate-bit-set": _override("strategy.bit_set=[2,2,4]"),
     "override-adam-beta1-one": _override('federation.server_opt="adam"',
                                          "federation.adam_beta1=1.0"),
     "override-adam-beta2-two": _override('federation.server_opt="adam"',

@@ -174,11 +174,11 @@ class TestCsv:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {reason}")):
             load_csv(str(path))
 
-    def test_sparse_labels_allowed_with_explicit_classes(self, tmp_path):
-        path = tmp_path / "sparse.csv"
-        path.write_text("0,0.5\n3,1.5\n")
-        ds = load_csv(str(path), num_classes=5)
-        assert ds.num_classes == 5 and ds.labels.tolist() == [0, 3]
+    @pytest.mark.parametrize("name", ["missing.csv", ".", "nul\x00.csv"],
+                             ids=["missing", "directory", "nul-byte"])
+    def test_path_naming_no_file_rejected(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="data file not found"):
+            load_csv(str(tmp_path / name))
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -253,6 +253,34 @@ class TestRun:
         for got, want in ((state.adam_m, ran.adam_m), (state.adam_v, ran.adam_v)):
             assert (got is None and want is None) or np.array_equal(got, want)
 
+    @pytest.mark.parametrize("strat", [
+        StrategyConfig(kind="mqat", bit_set=(2, 4, 32)),
+        StrategyConfig(kind="apqn", train_bits=4, quantize_acts=True),
+    ], ids=["mqat", "apqn"])
+    def test_client_execution_order_cannot_change_the_result(self, strat):
+        """A ``map_clients`` that trains the clients last to first (and
+        returns their updates first to last) gives builtin ``map``'s bytes."""
+        def reversed_map(run_client, ids):
+            return [run_client(c) for c in reversed(ids)][::-1]
+
+        data = tiny_fed_data(seed=9)
+        cfg = FedConfig(total_rounds=3, num_clients=8, clients_per_round=4,
+                        eta_s=0.5, eta_c=0.05, local_steps=2, batch_size=8,
+                        server_opt="adam", seed=17, eval_every=1)
+        runs = []
+        for map_clients in (map, reversed_map):
+            state, root = init_state(cfg, strat, data, (6,)), RngStream(cfg.seed)
+            updates = []
+            for _ in range(cfg.total_rounds):
+                state, got = step_round(state, cfg, strat, data, root, map_clients)
+                updates += got
+            runs.append([state.params.vec.tobytes(), state.adam_m.tobytes(),
+                         state.adam_v.tobytes()] +
+                        [(u.client_id, u.delta.tobytes(),
+                          np.array(u.local_loss_trace).tobytes(), u.bits)
+                         for u in updates])
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("server_opt,strat", [
         ("sgd", StrategyConfig(kind="kure")),
         ("adam", StrategyConfig(kind="mqat", bit_set=(2, 4, 32))),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fedquant.errors import ConfigError, NumericError
-from fedquant.quantize import (IDENTITY_BITS, QuantSpec, StepTable,
-                               candidate_mse, estimate_range_mse, make_spec,
-                               pseudo_quantize, quantize, rescale_step,
-                               round_half_away, ste_backward, ste_mask)
+from fedquant.quantize import (IDENTITY_BITS, RANGE_CANDIDATES, QuantSpec,
+                               StepTable, candidate_mse, estimate_range_mse,
+                               make_spec, pseudo_quantize, quantize,
+                               rescale_step, round_half_away, ste_backward,
+                               ste_mask)
 from fedquant.rng import RngStream
 from helpers import (quantize_oracle, range_search_oracle, ste_mask_oracle,
                      steps_consistent)
@@ -152,17 +153,13 @@ class TestRangeEstimation:
 
     def test_exact_grid_recovers_zero_error(self):
         w = np.array([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.1])
-        spec = estimate_range_mse(w, 3, num_candidates=100)
+        spec = estimate_range_mse(w, 3)
         assert np.mean((quantize(w, spec) - w) ** 2) <= 1e-30
 
     def test_all_zero_tensor_gets_default_range(self):
         spec = estimate_range_mse(np.zeros(16), 4)
         assert spec.step == 1.0 / spec.grid_max
         assert spec.step == make_spec(1.0, 4).step
-
-    def test_candidate_count_validated(self):
-        with pytest.raises(ConfigError):
-            estimate_range_mse(np.ones(4), 4, num_candidates=1)
 
 
 def _with_negative_zeros(w):
@@ -190,15 +187,19 @@ SEARCH_TIES = {
 
 
 def assert_matches_oracle(w, bits, signed, num_candidates):
+    """Every candidate's MSE bit for bit; at the search's own candidate count
+    also the spec ``estimate_range_mse`` chooses."""
     spec, steps, mses = range_search_oracle(w, bits, signed, num_candidates)
     got = candidate_mse(w, np.array(steps), bits, signed)
     assert got.tobytes() == np.array(mses).tobytes()
-    assert estimate_range_mse(w, bits, signed, num_candidates) == spec
+    if num_candidates == RANGE_CANDIDATES:
+        assert estimate_range_mse(w, bits, signed) == spec
 
 
 class TestRangeKernel:
     """The blocked search equals one ``quantize`` call per candidate, bit for
-    bit: every candidate's MSE and the chosen spec."""
+    bit: every candidate's MSE at 2, 3, 100 and 257 candidates (block
+    boundaries fall differently), and the chosen spec at ``RANGE_CANDIDATES``."""
 
     @pytest.mark.parametrize("layout", sorted(SEARCH_LAYOUTS))
     @pytest.mark.parametrize("shape", SEARCH_SHAPES,
@@ -207,21 +208,21 @@ class TestRangeKernel:
         w = SEARCH_LAYOUTS[layout](RngStream(sum(shape)).normal(shape))
         for bits in REAL_BITS:
             for signed in (True, False):
-                for num_candidates in (2, 3, 100, 257):
+                for num_candidates in (2, 3, RANGE_CANDIDATES, 257):
                     assert_matches_oracle(w, bits, signed, num_candidates)
 
     @pytest.mark.parametrize("case", sorted(SEARCH_TIES))
     def test_exact_ties_match_oracle(self, case):
         for bits in REAL_BITS:
             for signed in (True, False):
-                for num_candidates in (2, 3, 100, 257):
+                for num_candidates in (2, 3, RANGE_CANDIDATES, 257):
                     assert_matches_oracle(SEARCH_TIES[case], bits, signed,
                                           num_candidates)
 
     def test_tensor_larger_than_one_block(self):
         w = RngStream(9).normal((160, 128))
         for bits in REAL_BITS:
-            assert_matches_oracle(w, bits, True, 100)
+            assert_matches_oracle(w, bits, True, RANGE_CANDIDATES)
 
     def test_unsigned_search_on_negative_input(self):
         w = -np.abs(RngStream(10).normal(64))

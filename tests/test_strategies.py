@@ -60,6 +60,10 @@ class TestStrategyConfig:
         with pytest.raises(ConfigError):
             StrategyConfig(kind="mqat", bit_set=(2, 5))
 
+    def test_bit_set_members_distinct(self):
+        with pytest.raises(ConfigError, match=r"bit_set \[2, 2, 4\] repeats"):
+            StrategyConfig(kind="mqat", bit_set=(2, 2, 4))
+
     def test_zero_lambda_is_legal(self):
         StrategyConfig(kind="kure", lam=0.0)
 
