@@ -241,6 +241,9 @@ def build_data(doc: dict) -> FederatedDataset:
 
 def build_bit_configs(doc: dict) -> list[BitConfig]:
     e = doc["eval"]
+    for key in ("weight_bits", "act_bits", "wa_bits"):
+        if len(set(e[key])) != len(e[key]):
+            raise ConfigError(f"eval.{key} {e[key]} repeats a bit-width")
     configs = [BitConfig(weight_bits=b) for b in e["weight_bits"]]
     configs += [BitConfig(act_bits=b) for b in e["act_bits"]]
     configs += [BitConfig(weight_bits=b, act_bits=b) for b in e["wa_bits"]]

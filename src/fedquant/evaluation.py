@@ -1,6 +1,7 @@
 """Post-training bit-width sweep of the global model and report emission.
 
-For strategies that trained against a quantizer the sweep reuses the training
+Each bit config becomes a ``QuantPlan``, the description training uses,
+which ``mlp.predict_logits`` runs on the global parameters. For strategies that trained against a quantizer the sweep reuses the training
 step tables (rescaling to bit-widths that were never trained); for everything
 else it runs a fresh MSE range search on the final weights. Activation grids
 are rebuilt the same way from the calibration batch. Reports serialize to a
@@ -11,7 +12,6 @@ written as `-`) and to JSON including run metadata.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +19,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .federation import ServerState
-from .mlp import Batch, ParamSet, forward, predict_logits, score
+from .mlp import Batch, ParamSet, QuantPlan, forward, predict_logits, score
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec, StepTable,
-                       estimate_range_mse, quantize)
+                       estimate_range_mse)
 from .strategies import StrategyConfig
 
 
@@ -38,13 +38,6 @@ class BitConfig:
         for v in (self.weight_bits, self.act_bits):
             if v is not None and v not in SUPPORTED_BITS:
                 raise ConfigError(f"unsupported bit-width {v}")
-
-    def label(self) -> str:
-        if self.act_bits is None:
-            return f"W-{self.weight_bits}"
-        if self.weight_bits is None:
-            return f"A-{self.act_bits}"
-        return f"WA-{self.weight_bits}/{self.act_bits}"
 
 
 @dataclass
@@ -117,12 +110,15 @@ def _weight_specs(state: ServerState, strat: StrategyConfig, bits: int,
 
 
 def _act_specs(state: ServerState, strat: StrategyConfig, bits: int,
-               params_for_calib: ParamSet, calib_batch: Batch
+               weights: list[QuantSpec | None], calib_batch: Batch
                ) -> list[QuantSpec | None]:
+    """Per-activation specs for an eval bit-width: the training tables when
+    the sweep reuses them, else a search on the activations the calibration
+    batch produces under the config's weight grids."""
     trained = _trained_tables(state, strat, acts=True)
     if trained is not None:
         return [t.spec_for(bits, signed=False) for t in trained]
-    _, cache = forward(params_for_calib, calib_batch)
+    _, cache = forward(state.params, calib_batch, QuantPlan(weights=weights))
     return [estimate_range_mse(r, bits, signed=False) for r in cache.relu_raw]
 
 
@@ -130,43 +126,41 @@ def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
                       calib_batch: Batch | None = None,
                       exempt_first_last: bool = False,
                       weight_specs: dict[int, list[QuantSpec | None]] | None = None
-                      ) -> tuple[ParamSet, list[QuantSpec | None] | None]:
-    """Materialize quantized parameters and activation specs for one config.
+                      ) -> QuantPlan:
+    """The forward-pass plan that evaluates ``state.params`` at one config.
 
-    The weights are quantized in place in one copy of ``state.params``.
-
-    ``exempt_first_last`` leaves the first and last weight matrices at full
-    precision (a common deployment concession); the default quantizes every
-    layer including the classifier head. ``weight_specs`` maps weight
-    bit-widths to specs already found for this state, strategy and
-    exemption; a missing entry is computed and stored, so configs that
-    share the dict search each weight bit-width once.
+    The plan holds each weight's and each hidden activation's grid (an
+    empty list for a side the config leaves at full precision); no
+    parameter is copied. ``exempt_first_last`` leaves the first and last
+    weight matrices at full precision (a common deployment concession); the
+    default quantizes every layer including the classifier head.
+    ``weight_specs`` maps weight bit-widths to specs already found for this
+    state, strategy and exemption; a missing entry is computed and stored,
+    so configs that share the dict search each weight bit-width once.
     """
-    params = state.params.copy()
+    plan = QuantPlan()
     if bc.weight_bits is not None and bc.weight_bits != IDENTITY_BITS:
         if weight_specs is None:
             weight_specs = {}
         if bc.weight_bits not in weight_specs:
             weight_specs[bc.weight_bits] = _weight_specs(
                 state, strat, bc.weight_bits, exempt_first_last)
-        for (w, _), s in zip(params.layers, weight_specs[bc.weight_bits]):
-            if s is not None:
-                quantize(w, s, out=w)
-    act_specs = None
+        plan.weights = weight_specs[bc.weight_bits]
     if bc.act_bits is not None and bc.act_bits != IDENTITY_BITS:
         if calib_batch is None:
             raise ConfigError("activation sweeps need a calibration batch")
-        act_specs = _act_specs(state, strat, bc.act_bits, params, calib_batch)
-    return params, act_specs
+        plan.acts = _act_specs(state, strat, bc.act_bits, plan.weights,
+                               calib_batch)
+    return plan
 
 
-def evaluate(params: ParamSet, act_specs: list[QuantSpec | None] | None,
+def evaluate(params: ParamSet, plan: QuantPlan,
              dataset: Dataset) -> tuple[float, float]:
-    """``mlp.score`` of ``params`` on ``dataset``, each hidden activation on
-    its ``act_specs`` grid (a None list or entry leaves it unquantized)."""
+    """``mlp.score`` of ``params`` on ``dataset`` under ``plan``'s weight
+    and activation grids (``mlp.PLAIN_PLAN`` for full precision)."""
     if dataset.size == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    return score(predict_logits(params, dataset.inputs, act_specs), dataset.labels)
+    return score(predict_logits(params, dataset.inputs, plan), dataset.labels)
 
 
 def sweep(state: ServerState, strat: StrategyConfig,
@@ -174,21 +168,16 @@ def sweep(state: ServerState, strat: StrategyConfig,
           calib_batch: Batch | None = None,
           metadata: dict | None = None,
           exempt_first_last: bool = False) -> EvalReport:
-    """Evaluate every requested bit config (duplicates dropped with a warning).
+    """Evaluate ``state.params`` at every requested bit config, in order.
 
     W and WA rows at the same weight bit-width share one set of weight specs.
     """
-    seen: set[BitConfig] = set()
     weight_specs: dict[int, list[QuantSpec | None]] = {}
     report = EvalReport(metadata=dict(metadata or {}))
     for bc in bit_configs:
-        if bc in seen:
-            warnings.warn(f"duplicate bit config {bc.label()} skipped")
-            continue
-        seen.add(bc)
-        params, act_specs = quantize_for_eval(state, bc, strat, calib_batch,
-                                              exempt_first_last, weight_specs)
-        acc, loss = evaluate(params, act_specs, dataset)
+        plan = quantize_for_eval(state, bc, strat, calib_batch,
+                                 exempt_first_last, weight_specs)
+        acc, loss = evaluate(state.params, plan, dataset)
         report.rows.append(EvalRow(strategy=strat.kind,
                                    weight_bits=bc.weight_bits,
                                    act_bits=bc.act_bits,

@@ -182,13 +182,15 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 
 
 def _apply(x: np.ndarray, entries: list | None, i: int,
-           rng: RngStream | None = None) -> np.ndarray:
-    """``x`` under plan entry ``entries[i]`` (see ``QuantPlan``)."""
+           rng: RngStream | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` under plan entry ``entries[i]`` (see ``QuantPlan``); a grid
+    writes its result to ``out`` as ``quantize`` does."""
     entry = entries[i] if entries else None
     if entry is None:
         return x
     if isinstance(entry, QuantSpec):
-        return quantize(x, entry)
+        return quantize(x, entry, out=out)
     return pseudo_quantize(x, entry, rng)
 
 
@@ -296,24 +298,25 @@ def kure_terms(tensors: list[np.ndarray], k_tau: float
 
 
 def predict_logits(params: ParamSet, inputs: np.ndarray,
-                   act_specs: list[QuantSpec | None] | None = None) -> np.ndarray:
-    """Forward pass to logits only (used by evaluation).
+                   plan: QuantPlan = PLAIN_PLAN) -> np.ndarray:
+    """Forward pass to logits only (used by evaluation), under the plan's
+    weight and activation grids; a plan with noise is rejected.
 
-    Each layer's matmul output is its only new array: the bias, the ReLU and
-    the activation grid (``quantize(..., out=)``) apply to it in place, so
-    the pass holds one layer's input and output at a time, plus a boolean
-    mask or one block of rounding signs.
+    Each layer's matmul output is its only new activation-sized array: the
+    bias, the ReLU and the activation grid (``_apply(..., out=)``) apply to
+    it in place, so the pass holds one layer's input and output at a time,
+    plus a quantized weight, a boolean mask or one block of rounding signs.
     """
+    if plan.needs_rng:
+        raise UsageError("predict_logits takes grids, not noise")
     a = np.asarray(inputs, dtype=np.float64)
     n_layers = params.num_layers
     for l, (w, b) in enumerate(params.layers):
-        h = matmul(a, w)
+        h = matmul(a, _apply(w, plan.weights, l))
         h += b
         if l < n_layers - 1:
             np.maximum(h, 0.0, out=h)
-            if act_specs and act_specs[l] is not None:
-                quantize(h, act_specs[l], out=h)
-            a = h
+            a = _apply(h, plan.acts, l, out=h)
     return h
 
 

@@ -12,8 +12,10 @@ import numpy as np
 from fedquant.errors import DegenerateTensorError, NumericError, ShapeError
 from fedquant.federation import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                  _tables_to_json, config_hash)
-from fedquant.mlp import Batch, ParamSet
-from fedquant.quantize import RANGE_CANDIDATES, QuantSpec, StepTable, make_spec
+from fedquant.evaluation import _trained_tables, _weight_specs
+from fedquant.mlp import Batch, ParamSet, forward
+from fedquant.quantize import (IDENTITY_BITS, RANGE_CANDIDATES, QuantSpec,
+                               StepTable, estimate_range_mse, make_spec)
 from fedquant.rng import _GOLDEN, _MIX1, _MIX2
 
 
@@ -130,6 +132,42 @@ def predict_logits_oracle(params: ParamSet, inputs: np.ndarray,
             spec = act_specs[l] if act_specs else None
             a = r if spec is None else quantize_oracle(r, spec)
     return h
+
+
+def quantized_copy_oracle(params: ParamSet,
+                          weight_specs: list[QuantSpec | None] | None
+                          ) -> ParamSet:
+    """A copy of ``params`` with each weight matrix quantized in place on its
+    spec (a None list or entry leaves it as it is)."""
+    params = params.copy()
+    for (w, _), spec in zip(params.layers, weight_specs or []):
+        if spec is not None:
+            w[...] = quantize_oracle(w, spec)
+    return params
+
+
+def eval_logits_oracle(state, bc, strat, inputs: np.ndarray,
+                       calib_batch: Batch | None = None,
+                       exempt_first_last: bool = False) -> np.ndarray:
+    """The sweep's logits for one bit config before it evaluated through a
+    ``QuantPlan``: the weights quantized in a copy of ``state.params``, the
+    activation ranges taken from the training tables or searched on that
+    copy's plain forward of ``calib_batch``, then ``predict_logits_oracle``."""
+    weight_specs = None
+    if bc.weight_bits not in (None, IDENTITY_BITS):
+        weight_specs = _weight_specs(state, strat, bc.weight_bits,
+                                     exempt_first_last)
+    params = quantized_copy_oracle(state.params, weight_specs)
+    act_specs = None
+    if bc.act_bits not in (None, IDENTITY_BITS):
+        trained = _trained_tables(state, strat, acts=True)
+        if trained is not None:
+            act_specs = [t.spec_for(bc.act_bits, signed=False) for t in trained]
+        else:
+            _, cache = forward(params, calib_batch)
+            act_specs = [estimate_range_mse(r, bc.act_bits, signed=False)
+                         for r in cache.relu_raw]
+    return predict_logits_oracle(params, inputs, act_specs)
 
 
 def ste_mask_oracle(w: np.ndarray, spec: QuantSpec) -> np.ndarray:

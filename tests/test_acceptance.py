@@ -413,9 +413,9 @@ def trend_accuracies():
                     data.holdout, calib_batch=calib)
         out[name] = {r.weight_bits: r.accuracy for r in rep.rows}
         for bits in [b for s, b in PAIRED_EVALS if s == name]:
-            params, act_specs = quantize_for_eval(
-                state, BitConfig(weight_bits=bits), strat, calib)
-            logits = predict_logits(params, data.holdout.inputs, act_specs)
+            plan = quantize_for_eval(state, BitConfig(weight_bits=bits), strat,
+                                     calib)
+            logits = predict_logits(state.params, data.holdout.inputs, plan)
             hit = np.argmax(logits, axis=1) == data.holdout.labels
             # the sign tests must see the very models the sweep scored
             assert float(np.mean(hit)) == out[name][bits], (name, bits)

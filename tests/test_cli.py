@@ -94,8 +94,8 @@ class TestConfigDocument:
         doc = validate_config({"eval": {"weight_bits": [8], "act_bits": [4],
                                         "wa_bits": [2]}})
         configs = build_bit_configs(doc)
-        labels = [c.label() for c in configs]
-        assert labels == ["W-8", "A-4", "WA-2/2"]
+        bits = [(c.weight_bits, c.act_bits) for c in configs]
+        assert bits == [(8, None), (None, 4), (2, 2)]
 
 
 class TestRunCommand:
@@ -346,6 +346,7 @@ MALFORMED_INPUTS = {
         'strategy.kind="kure"', "strategy.quantize_acts=true",
         "federation.batch_size=1", "model.hidden=[1]"),
     "override-duplicate-bit-set": _override("strategy.bit_set=[2,2,4]"),
+    "override-duplicate-eval-bits": _override("eval.weight_bits=[32,4,32]"),
     "override-adam-beta1-one": _override('federation.server_opt="adam"',
                                          "federation.adam_beta1=1.0"),
     "override-adam-beta2-two": _override('federation.server_opt="adam"',
@@ -359,6 +360,7 @@ MALFORMED_INPUTS = {
     "bound-list-root": _bound_config([BOUND_INPUTS]),
     "bound-unknown-key": _bound_config({**BOUND_INPUTS, "bogus": 1}),
     "eval-set-outside-eval": _eval_override("data.class_separation=0.5"),
+    "eval-set-duplicate-eval-bits": _eval_override("eval.wa_bits=[4,4]"),
     "seed-negative": _override("seed=-1"),
     "seed-beyond-64-bits": _override("seed=18446744073709551616"),
     "env-seed-negative": _seedless_run,

@@ -1,7 +1,6 @@
 """Bit-width sweep mechanics and report emission."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +10,12 @@ from fedquant.errors import ConfigError
 from fedquant.evaluation import (BitConfig, evaluate, quantize_for_eval,
                                  sweep)
 from fedquant.federation import FedConfig, make_calibration_batch, run
-from fedquant.mlp import Batch, backward, forward, init_params, predict_logits
+from fedquant.mlp import (PLAIN_PLAN, Batch, backward, forward, init_params,
+                          predict_logits, score)
 from fedquant.quantize import estimate_range_mse, quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import StrategyConfig
+from helpers import eval_logits_oracle, quantized_copy_oracle
 
 
 def fed_data(seed=0, classes=4, dim=8, per_class=40, clients=6):
@@ -26,12 +27,12 @@ def fed_data(seed=0, classes=4, dim=8, per_class=40, clients=6):
                             holdout=val)
 
 
-def trained_state(strat, seed=5, rounds=30, data=None):
+def trained_state(strat, seed=5, rounds=30, data=None, hidden=(10,)):
     data = data or fed_data(seed)
     cfg = FedConfig(total_rounds=rounds, num_clients=6, clients_per_round=3,
                     eta_s=1.0, eta_c=0.05, local_steps=2, batch_size=10,
                     server_opt="sgd", seed=seed, eval_every=rounds)
-    state, _ = run(cfg, strat, data, hidden=(10,))
+    state, _ = run(cfg, strat, data, hidden=hidden)
     return state, data, cfg
 
 
@@ -39,11 +40,6 @@ class TestBitConfig:
     def test_needs_at_least_one_side(self):
         with pytest.raises(ConfigError):
             BitConfig()
-
-    def test_labels(self):
-        assert BitConfig(weight_bits=4).label() == "W-4"
-        assert BitConfig(act_bits=8).label() == "A-8"
-        assert BitConfig(weight_bits=2, act_bits=3).label() == "WA-2/3"
 
     def test_unsupported_bits(self):
         with pytest.raises(ConfigError):
@@ -53,27 +49,30 @@ class TestBitConfig:
 class TestQuantizeForEval:
     def test_identity_config_returns_params_bitwise(self):
         state, data, _ = trained_state(StrategyConfig(), rounds=5)
-        params, act_specs = quantize_for_eval(state, BitConfig(weight_bits=32),
-                                              StrategyConfig())
-        assert act_specs is None
-        assert np.array_equal(params.flatten(), state.params.flatten())
+        plan = quantize_for_eval(state, BitConfig(weight_bits=32),
+                                 StrategyConfig())
+        assert plan == PLAIN_PLAN
+        got = quantized_copy_oracle(state.params, plan.weights)
+        assert np.array_equal(got.vec, state.params.vec)
 
     def test_trained_table_is_rescaled_for_untrained_bits(self):
         strat = StrategyConfig(kind="qat", train_bits=4)
         state, data, _ = trained_state(strat, rounds=5)
-        params, _ = quantize_for_eval(state, BitConfig(weight_bits=2), strat)
-        for layer, table in zip(params.layers, state.step_tables.weights):
+        plan = quantize_for_eval(state, BitConfig(weight_bits=2), strat)
+        got = quantized_copy_oracle(state.params, plan.weights)
+        for w_q, table in zip(got.weights(), state.step_tables.weights):
             step2 = rescale_step(table.steps[4], 4, 2)
             assert step2 == (15 / 3) * table.steps[4]
-            k = np.round(layer[0] / step2)
-            assert np.allclose(layer[0], k * step2)
+            k = np.round(w_q / step2)
+            assert np.allclose(w_q, k * step2)
             assert np.all(k >= -2) and np.all(k <= 1)
 
     def test_fresh_mse_estimation_for_plain_strategies(self):
         state, data, _ = trained_state(StrategyConfig(), rounds=5)
-        params, _ = quantize_for_eval(state, BitConfig(weight_bits=3),
-                                      StrategyConfig())
-        for (w_q, _), (w, _) in zip(params.layers, state.params.layers):
+        plan = quantize_for_eval(state, BitConfig(weight_bits=3),
+                                 StrategyConfig())
+        got = quantized_copy_oracle(state.params, plan.weights)
+        for w_q, w in zip(got.weights(), state.params.weights()):
             # every output value sits on some uniform grid of 3-bit indices
             steps = np.unique(np.abs(w_q[w_q != 0]))
             assert steps.size > 0
@@ -83,10 +82,11 @@ class TestQuantizeForEval:
         strat = StrategyConfig(kind="mqat", bit_set=(2, 4, 8))
         state, data, _ = trained_state(strat, rounds=5)
         for bits in (2, 4, 8):
-            params, _ = quantize_for_eval(state, BitConfig(weight_bits=bits), strat)
-            for layer, table in zip(params.layers, state.step_tables.weights):
+            plan = quantize_for_eval(state, BitConfig(weight_bits=bits), strat)
+            got = quantized_copy_oracle(state.params, plan.weights)
+            for w_q, table in zip(got.weights(), state.step_tables.weights):
                 spec = table.spec_for(bits)
-                assert np.array_equal(quantize(layer[0], spec), layer[0])
+                assert np.array_equal(quantize(w_q, spec), w_q)
 
 
 class TestEvaluate:
@@ -98,7 +98,7 @@ class TestEvaluate:
         w, b = params.layers[-1]
         w[:] = 0.0
         b[:] = 0.0
-        acc, loss = evaluate(params, None, data.holdout)
+        acc, loss = evaluate(params, PLAIN_PLAN, data.holdout)
         share = float(np.mean(data.holdout.labels == 0))
         assert acc == share
         assert abs(loss - np.log(4)) < 1e-12
@@ -111,13 +111,13 @@ class TestEvaluate:
         for _ in range(400):
             _, cache = forward(params, batch)
             params.add_scaled(backward(cache), -0.5)
-        acc, _ = evaluate(params, None, train)
+        acc, _ = evaluate(params, PLAIN_PLAN, train)
         assert acc == 1.0
 
     def test_matches_per_sample_loop_oracle(self):
         data = fed_data(seed=12)
         params = init_params([8, 10, 4], RngStream(3))
-        acc, _ = evaluate(params, None, data.holdout)
+        acc, _ = evaluate(params, PLAIN_PLAN, data.holdout)
         logits = predict_logits(params, data.holdout.inputs)
         hits = 0
         for i in range(data.holdout.size):
@@ -128,7 +128,8 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         params = init_params([4, 4, 2], RngStream(0))
         with pytest.raises(ConfigError):
-            evaluate(params, None, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2))
+            evaluate(params, PLAIN_PLAN,
+                     Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2))
 
 
 class TestSweep:
@@ -136,19 +137,9 @@ class TestSweep:
         state, data, cfg = trained_state(StrategyConfig(), rounds=5)
         report = sweep(state, StrategyConfig(), [BitConfig(weight_bits=32)],
                        data.holdout)
-        acc, loss = evaluate(state.params, None, data.holdout)
+        acc, loss = evaluate(state.params, PLAIN_PLAN, data.holdout)
         assert len(report.rows) == 1
         assert report.rows[0].accuracy == acc and report.rows[0].loss == loss
-
-    def test_duplicates_deduplicated_with_warning(self):
-        state, data, _ = trained_state(StrategyConfig(), rounds=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = sweep(state, StrategyConfig(),
-                           [BitConfig(weight_bits=32), BitConfig(weight_bits=32)],
-                           data.holdout)
-        assert len(report.rows) == 1
-        assert any("duplicate" in str(w.message) for w in caught)
 
     def test_default_weight_sweep_has_six_rows(self):
         state, data, cfg = trained_state(StrategyConfig(), rounds=5)
@@ -165,13 +156,39 @@ class TestSweep:
         training grid, so the quantized forward is reproduced bitwise."""
         strat = StrategyConfig(kind="qat", train_bits=4)
         state, data, _ = trained_state(strat, rounds=5)
-        params, _ = quantize_for_eval(state, BitConfig(weight_bits=4), strat)
+        eval_plan = quantize_for_eval(state, BitConfig(weight_bits=4), strat)
         from fedquant.strategies import build_plan
         plan = build_plan(strat, state.step_tables, 4)
+        assert eval_plan == plan
         batch = Batch(data.holdout.inputs, data.holdout.labels)
         train_time_loss, _ = forward(state.params, batch, plan)
-        eval_loss = evaluate(params, None, data.holdout)[1]
+        eval_loss = evaluate(state.params, eval_plan, data.holdout)[1]
         assert train_time_loss == eval_loss
+
+    @pytest.mark.parametrize("strat", [
+        StrategyConfig(),
+        StrategyConfig(kind="qat", train_bits=4, quantize_acts=True),
+        StrategyConfig(kind="apqn", train_bits=4, quantize_acts=True)],
+        ids=["baseline", "qat", "apqn"])
+    def test_rows_match_the_quantized_copy_oracle(self, strat):
+        """Every W, A and WA row scores the logits of the path that quantized
+        a copy of the parameters and calibrated activations on that copy."""
+        state, data, cfg = trained_state(strat, rounds=3, hidden=(10, 10))
+        calib = make_calibration_batch(data.base, cfg.batch_size,
+                                       RngStream(cfg.seed))
+        configs = [BitConfig(weight_bits=32), BitConfig(weight_bits=4),
+                   BitConfig(weight_bits=2), BitConfig(act_bits=8),
+                   BitConfig(act_bits=3), BitConfig(weight_bits=3, act_bits=3),
+                   BitConfig(weight_bits=8, act_bits=8),
+                   BitConfig(weight_bits=32, act_bits=32)]
+        for exempt in (False, True):
+            report = sweep(state, strat, configs, data.holdout,
+                           calib_batch=calib, exempt_first_last=exempt)
+            for bc, row in zip(configs, report.rows, strict=True):
+                logits = eval_logits_oracle(state, bc, strat, data.holdout.inputs,
+                                            calib, exempt)
+                assert ((row.accuracy, row.loss)
+                        == score(logits, data.holdout.labels)), (bc, exempt)
 
     def test_activation_sweep_uses_calibration_batch(self):
         state, data, cfg = trained_state(StrategyConfig(), rounds=5)
@@ -202,11 +219,12 @@ class TestSweep:
         from fedquant.federation import ServerState
         params3 = init_params([6, 8, 8, 3], RngStream(77))
         state = ServerState(round_idx=0, params=params3)
-        got, _ = quantize_for_eval(state, BitConfig(weight_bits=2),
-                                   StrategyConfig(), exempt_first_last=True)
-        assert np.array_equal(got.layers[0][0], params3.layers[0][0])
-        assert np.array_equal(got.layers[-1][0], params3.layers[-1][0])
-        assert np.any(got.layers[1][0] != params3.layers[1][0])
+        plan = quantize_for_eval(state, BitConfig(weight_bits=2),
+                                 StrategyConfig(), exempt_first_last=True)
+        got = quantized_copy_oracle(params3, plan.weights).weights()
+        assert np.array_equal(got[0], params3.layers[0][0])
+        assert np.array_equal(got[-1], params3.layers[-1][0])
+        assert np.any(got[1] != params3.layers[1][0])
 
 
 class TestSweepSearches:
@@ -228,9 +246,8 @@ class TestSweepSearches:
         calib = Batch(data.base.inputs[:10], data.base.labels[:10])
         expected = []
         for bc in self.CONFIGS:
-            params, act_specs = quantize_for_eval(state, bc, StrategyConfig(),
-                                                  calib, exempt)
-            expected.append(evaluate(params, act_specs, data.holdout))
+            plan = quantize_for_eval(state, bc, StrategyConfig(), calib, exempt)
+            expected.append(evaluate(state.params, plan, data.holdout))
         searches = []
 
         def counted(w, bits, signed=True):

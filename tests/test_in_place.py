@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedquant.mlp import init_params, predict_logits
+from fedquant.mlp import QuantPlan, init_params, predict_logits
 from fedquant.quantize import (_ROUND_BLOCK, QuantSpec, make_spec, quantize,
                                round_half_away)
 from fedquant.rng import RngStream
-from helpers import predict_logits_oracle, quantize_oracle, round_half_away_oracle
+from helpers import (predict_logits_oracle, quantize_oracle,
+                     quantized_copy_oracle, round_half_away_oracle)
 
 
 def probe_values(spec: QuantSpec, rng: RngStream, size: int = 0) -> np.ndarray:
@@ -63,26 +64,37 @@ def test_in_place_forms_match_the_allocating_oracles(bits, signed):
     inputs = rng.normal((40, 6))
     inputs[:3] = 0.0
     before = inputs.copy()
+    before_params = params.vec.copy()
     grid = make_spec(1.5, bits, signed=False)
-    for act_specs in (None, [], [None, None], [grid, None], [None, grid],
-                      [grid, make_spec(0.4, bits, signed=False)]):
-        got = predict_logits(params, inputs, act_specs)
-        assert got.tobytes() == predict_logits_oracle(params, inputs, act_specs).tobytes()
-        assert inputs.tobytes() == before.tobytes()
+    w_grid = make_spec(0.3, bits, signed=True)
+    weights = ([], [None, None, None], [w_grid, None, w_grid],
+               [None, make_spec(0.05, bits, signed=True), None])
+    acts = ([], [None, None], [grid, None], [None, grid],
+            [grid, make_spec(0.4, bits, signed=False)])
+    for w_specs in weights:
+        for a_specs in acts:
+            got = predict_logits(params, inputs, QuantPlan(w_specs, a_specs))
+            want = predict_logits_oracle(quantized_copy_oracle(params, w_specs),
+                                         inputs, a_specs)
+            assert got.tobytes() == want.tobytes()
+            assert inputs.tobytes() == before.tobytes()
+            assert params.vec.tobytes() == before_params.tobytes()
 
 
 def test_eval_forward_holds_two_activations():
     """On a 5000-row 32-256-256-10 model with 4-bit activation grids the
     eval forward peaks at one hidden layer's input and output plus a
-    boolean mask (2.13 hidden activations); the allocating form peaked at
-    6.00 (4.01 without activation grids)."""
+    boolean mask (2.13 hidden activations; 2.18 with 4-bit weight grids,
+    which add one quantized weight matrix at a time); the allocating form
+    peaked at 6.00 (4.01 without activation grids)."""
     params = init_params([32, 256, 256, 10], RngStream(5))
     inputs = RngStream(6).normal((5000, 32))
-    specs = [make_spec(2.0, 4, signed=False), make_spec(3.0, 4, signed=False)]
-    tracemalloc.start()
-    try:
-        predict_logits(params, inputs, specs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * 5000 * 256 * 8
+    acts = [make_spec(2.0, 4, signed=False), make_spec(3.0, 4, signed=False)]
+    for weights in ([], [make_spec(0.5, 4, signed=True)] * 3):
+        tracemalloc.start()
+        try:
+            predict_logits(params, inputs, QuantPlan(weights, acts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 5000 * 256 * 8, (len(weights), peak)

@@ -405,3 +405,20 @@ class TestPredictLogits:
                                             batch.labels)
         assert loss == want_loss
         assert cache.probs.tobytes() == want_probs.tobytes()
+
+    def test_matches_forward_under_the_same_grid_plan(self):
+        params = small_net([4, 6, 5, 3], seed=73)
+        batch = random_batch(10, 4, 3, seed=74)
+        plan = QuantPlan(weights=[make_spec(0.5, 3), None, make_spec(0.8, 2)],
+                         acts=[None, make_spec(1.0, 4, signed=False)])
+        loss, cache = forward(params, batch, plan)
+        want_loss, want_probs = _softmax_ce(
+            predict_logits(params, batch.inputs, plan), batch.labels)
+        assert loss == want_loss
+        assert cache.probs.tobytes() == want_probs.tobytes()
+
+    def test_noise_plan_rejected(self):
+        params = small_net([4, 6, 3])
+        for plan in (QuantPlan(weights=[0.1, None]), QuantPlan(acts=[0.1])):
+            with pytest.raises(UsageError):
+                predict_logits(params, random_batch(8, 4, 3).inputs, plan)
