@@ -204,8 +204,6 @@ def main(argv: list[str] | None = None) -> int:
                 "partition-stats": cmd_partition_stats, "eval": cmd_eval}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        code, message = EXIT_CONFIG, str(exc)
     except DivergedError as exc:
         where = f" (round {exc.round_idx}, client {exc.client_id})" \
             if exc.round_idx is not None else ""

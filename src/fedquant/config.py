@@ -17,10 +17,8 @@ import sys
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .data import (Dataset, FederatedDataset, dirichlet_partition,
-                   gen_synthetic, load_csv)
+                   gen_synthetic, holdout_mask, load_csv)
 from .errors import ConfigError
 from .evaluation import BitConfig
 from .federation import FedConfig
@@ -216,7 +214,7 @@ def build_strategy(doc: dict) -> StrategyConfig:
 
 
 def _stride_split(ds: Dataset) -> tuple[Dataset, Dataset]:
-    val_mask = (np.arange(ds.size) % 5) == 4
+    val_mask = holdout_mask(ds.size, "the number of CSV rows")
     train = Dataset(ds.inputs[~val_mask], ds.labels[~val_mask], ds.num_classes)
     val = Dataset(ds.inputs[val_mask], ds.labels[val_mask], ds.num_classes)
     return train, val

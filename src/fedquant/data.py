@@ -1,4 +1,5 @@
-"""Synthetic classification data and the Dirichlet non-IID client partition."""
+"""Labelled data (``Batch``, and ``Dataset``: a ``Batch`` with a class
+count), synthetic classification data and the Dirichlet non-IID partition."""
 
 from __future__ import annotations
 
@@ -11,27 +12,39 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .rng import RngStream
 
+HOLDOUT_STRIDE = 5  # every 5th sample is holdout
+
 
 @dataclass
-class Dataset:
+class Batch:
+    """Inputs (n x d) and integer class labels (n,), n >= 1."""
+
     inputs: np.ndarray
     labels: np.ndarray
-    num_classes: int
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ShapeError("dataset needs rank-2 inputs and rank-1 labels")
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ShapeError("inputs and labels must have equal length")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise ConfigError("labels outside [0, num_classes)")
+            raise ShapeError("batch needs rank-2 inputs and rank-1 labels")
+        if self.inputs.shape[0] != self.labels.shape[0] or self.labels.shape[0] < 1:
+            raise ShapeError("batch inputs and labels must pair up, n >= 1")
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+
+@dataclass
+class Dataset(Batch):
+    """A labelled ``Batch`` whose labels lie in [0, num_classes)."""
+
+    num_classes: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
+            raise ConfigError("labels outside [0, num_classes)")
 
 
 @dataclass
@@ -41,11 +54,21 @@ class FederatedDataset:
     base: Dataset
     assignment: list[np.ndarray]
     alpha: float
-    holdout: Dataset | None = None
+    holdout: Dataset
 
     @property
     def num_clients(self) -> int:
         return len(self.assignment)
+
+
+def holdout_mask(n: int, what: str) -> np.ndarray:
+    """The holdout rows of ``n`` samples (a class block or a CSV file):
+    every ``HOLDOUT_STRIDE``-th. Fewer samples than that would leave the
+    holdout empty, an error that names ``n`` as ``what``."""
+    if n < HOLDOUT_STRIDE:
+        raise ConfigError(f"{what} must be >= {HOLDOUT_STRIDE}, as every "
+                          f"{HOLDOUT_STRIDE}th sample is holdout; got {n}")
+    return (np.arange(n) % HOLDOUT_STRIDE) == HOLDOUT_STRIDE - 1
 
 
 def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
@@ -58,8 +81,9 @@ def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
     variance around their mean. Within each class block every 5th sample
     goes to the validation split.
     """
-    if num_classes < 2 or dim < 2 or samples_per_class < 1:
-        raise ConfigError("need num_classes >= 2, dim >= 2, samples_per_class >= 1")
+    if num_classes < 2 or dim < 2:
+        raise ConfigError("need num_classes >= 2, dim >= 2")
+    val_mask = holdout_mask(samples_per_class, "samples_per_class")
     if class_separation < 0:
         raise ConfigError("class_separation must be non-negative")
     if num_classes > dim:
@@ -70,13 +94,10 @@ def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
     tr_x, tr_y, va_x, va_y = [], [], [], []
     for c in range(num_classes):
         block = means[c] + rng.normal((samples_per_class, dim))
-        val_mask = (np.arange(samples_per_class) % 5) == 4
         tr_x.append(block[~val_mask]); tr_y.append(np.full((~val_mask).sum(), c))
         va_x.append(block[val_mask]); va_y.append(np.full(val_mask.sum(), c))
-    train = Dataset(np.vstack(tr_x), np.concatenate(tr_y), num_classes)
-    val_inputs = np.vstack(va_x) if any(a.size for a in va_x) else np.zeros((0, dim))
-    val = Dataset(val_inputs, np.concatenate(va_y), num_classes)
-    return train, val
+    return (Dataset(np.vstack(tr_x), np.concatenate(tr_y), num_classes),
+            Dataset(np.vstack(va_x), np.concatenate(va_y), num_classes))
 
 
 def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,

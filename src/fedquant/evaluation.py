@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Batch, Dataset
 from .errors import ConfigError
 from .federation import ServerState
-from .mlp import Batch, ParamSet, QuantPlan, forward, predict_logits, score
+from .mlp import QuantPlan, forward, predict_logits, score
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec, StepTable,
                        estimate_range_mse)
 from .strategies import StrategyConfig
@@ -154,15 +154,6 @@ def quantize_for_eval(state: ServerState, bc: BitConfig, strat: StrategyConfig,
     return plan
 
 
-def evaluate(params: ParamSet, plan: QuantPlan,
-             dataset: Dataset) -> tuple[float, float]:
-    """``mlp.score`` of ``params`` on ``dataset`` under ``plan``'s weight
-    and activation grids (``mlp.PLAIN_PLAN`` for full precision)."""
-    if dataset.size == 0:
-        raise ConfigError("cannot evaluate on an empty dataset")
-    return score(predict_logits(params, dataset.inputs, plan), dataset.labels)
-
-
 def sweep(state: ServerState, strat: StrategyConfig,
           bit_configs: list[BitConfig], dataset: Dataset,
           calib_batch: Batch | None = None,
@@ -177,7 +168,8 @@ def sweep(state: ServerState, strat: StrategyConfig,
     for bc in bit_configs:
         plan = quantize_for_eval(state, bc, strat, calib_batch,
                                  exempt_first_last, weight_specs)
-        acc, loss = evaluate(state.params, plan, dataset)
+        acc, loss = score(predict_logits(state.params, dataset.inputs, plan),
+                          dataset.labels)
         report.rows.append(EvalRow(strategy=strat.kind,
                                    weight_bits=bc.weight_bits,
                                    act_bits=bc.act_bits,

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FederatedDataset
+from .data import Batch, Dataset, FederatedDataset
 from .errors import AggregationError, ConfigError, DivergedError, ShapeError
-from .mlp import Batch, ParamSet, init_params, predict_logits, score
+from .mlp import ParamSet, init_params, predict_logits, score
 from .quantize import QuantSpec, StepTable
 from .rng import Purpose, RngStream
 from .strategies import (ClientTask, ClientUpdate, StepTables, StrategyConfig,
@@ -207,8 +207,6 @@ def init_state(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
     if data.num_clients != cfg.num_clients:
         raise ConfigError(f"config expects {cfg.num_clients} clients, "
                           f"dataset has {data.num_clients}")
-    if data.holdout is None or data.holdout.size == 0:
-        raise ConfigError("a non-empty holdout set is required for evaluation")
     train = data.base
     root = RngStream(cfg.seed)
     widths = [train.inputs.shape[1], *hidden, train.num_classes]

@@ -18,29 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import Batch
 from .errors import DegenerateTensorError, NumericError, ShapeError, UsageError
 from .quantize import QuantSpec, pseudo_quantize, quantize, ste_backward
 from .rng import RngStream
-
-
-@dataclass
-class Batch:
-    """A mini-batch of inputs (n x d) and integer class labels (n,)."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ShapeError("batch needs rank-2 inputs and rank-1 labels")
-        if self.inputs.shape[0] != self.labels.shape[0] or self.labels.shape[0] < 1:
-            raise ShapeError("batch inputs and labels must pair up, n >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
 
 class ParamSet:
@@ -325,6 +306,10 @@ def score(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     cross-entropy of ``logits`` against integer ``labels``."""
     labels = np.asarray(labels, dtype=np.int64)
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-    loss, _ = _softmax_ce(logits, labels)
+    # finite logits far apart overflow the loss; forward raises on it too
+    with np.errstate(over="ignore"):
+        loss, _ = _softmax_ce(logits, labels)
+    if not math.isfinite(loss):
+        raise NumericError("scoring produced a non-finite loss")
     return acc, loss
 

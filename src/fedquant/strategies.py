@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Batch
 from .errors import (ConfigError, DegenerateTensorError, DivergedError,
                      NumericError)
-from .mlp import Batch, ParamSet, QuantPlan, backward, forward, kure_terms
+from .mlp import ParamSet, QuantPlan, backward, forward, kure_terms
 from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, StepTable,
                        estimate_range_mse, rescale_step)
 from .rng import Purpose, RngStream

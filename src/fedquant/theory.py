@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FederatedDataset
+from .data import Batch, FederatedDataset
 from .errors import ConfigError
 from .federation import FedConfig, ServerState, step_round
-from .mlp import Batch, ParamSet, backward, forward, init_params
-from .quantize import SUPPORTED_BITS, QuantSpec, StepTable, quantize
+from .mlp import ParamSet, backward, forward, init_params
+from .quantize import (IDENTITY_BITS, SUPPORTED_BITS, QuantSpec, StepTable,
+                       make_spec, pseudo_quantize, quantize)
 from .rng import Purpose, RngStream
 from .strategies import StepTables, StrategyConfig
 
@@ -188,7 +189,7 @@ def empirical_noise_bound(params: ParamSet, steps: tuple[float, ...], method: st
         chunk = max(1, min(trials, 2 ** 20 // max(1, dim)))
         while done < trials:
             take = min(chunk, trials - done)
-            noise = step * (rng.uniform((take, dim)) - 0.5)
+            noise = pseudo_quantize(np.zeros((take, dim)), step, rng)
             mean_sq += float(np.sum(noise * noise))
             max_abs = max(max_abs, float(np.max(np.abs(noise))))
             done += take
@@ -222,7 +223,7 @@ def _spec_for_weights(flat: np.ndarray, step: float) -> QuantSpec:
     # smallest supported bit-width whose grid covers the weights, so the
     # rounding error stays within step/2 everywhere
     absmax = float(np.max(np.abs(flat))) if flat.size else 0.0
-    for bits in SUPPORTED_BITS[:-1]:
+    for bits in (b for b in SUPPORTED_BITS if b != IDENTITY_BITS):
         spec = QuantSpec(bits=bits, step=step)
         if spec.grid_max * step >= absmax:
             break
@@ -326,8 +327,7 @@ def empirical_bound_check(data: FederatedDataset, hidden: tuple[int, ...],
 
     # one shared generous step per tensor; R uses the largest of them
     absmax = float(np.max(np.abs(params0.vec)))
-    grid_top = 2 ** (train_bits - 1) - 1
-    step = BOUND_CHECK_RANGE_FACTOR * absmax / grid_top
+    step = make_spec(BOUND_CHECK_RANGE_FACTOR * absmax, train_bits).step
     tables = StepTables(weights=[StepTable({train_bits: step})
                                  for _ in params0.layers])
 

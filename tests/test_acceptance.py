@@ -16,6 +16,7 @@ initial weights. The 8-bit grid rescaled from the 2-bit step spans
 
 import json
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ import numpy as np
 import pytest
 
 from fedquant.cli import main as cli_main
+from fedquant.config import (build_data, build_fed_config, build_strategy,
+                             hidden_widths, load_config)
 from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
 from fedquant.evaluation import BitConfig, quantize_for_eval, sweep
 from fedquant.federation import FedConfig, make_calibration_batch, run
@@ -336,18 +339,20 @@ def test_criterion_8_bound_dominance():
 # -----------------------------------------------------------------------
 # criterion 9: qualitative trend reproduction
 #
-# Frozen run (hyperparameter pilot, 2026-08): 10 classes, d=32, 500 samples
-# per class, separation 2.7, Dirichlet alpha=1.0, 100 clients, 10 per round,
-# MLP 32-64-10, 2500 rounds, Adam server (eta_s=1e-2, eps=1e-8), client SGD
-# eta_c=0.1, batch 20, one local epoch, seed 0.
+# Frozen run (hyperparameter pilot, 2026-08), as the shipped trend configs
+# state it: 10 classes, d=32, 500 samples per class, separation 2.7,
+# Dirichlet alpha=1.0, 100 clients, 10 per round, MLP 32-64-10, 2500 rounds,
+# Adam server (eta_s=1e-2, eps=1e-8), client SGD eta_c=0.1, batch 20, one
+# local epoch, seed 0.
 #
 # (a) and (d) claim that one evaluation of a model is worse than another on
 # the same 1000-sample holdout. Each is decided by an exact one-sided paired
 # sign test over the samples the two evaluations classify differently.
 
 
-TREND = {"seed": 0, "sep": 2.7, "spc": 500, "T": 2500, "eta_s": 1e-2,
-         "eta_c": 0.1, "eps": 1e-8, "bs": 20}
+TREND_CONFIGS = {"baseline": "trend_baseline.json", "mqat": "trend_mqat.json",
+                 "qat2": "trend_qat_w2.json"}
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 SIGN_TEST_ALPHA = 0.01
 
@@ -386,26 +391,13 @@ def test_criterion_9_sign_test_exact():
 @pytest.fixture(scope="module")
 def trend_accuracies():
     start = time.time()
-    root = RngStream(TREND["seed"])
-    train, val = gen_synthetic(10, 32, TREND["spc"], TREND["sep"],
-                               root.child(Purpose.DATA))
-    assignment = dirichlet_partition(train.labels, 100, 1.0,
-                                     root.child(Purpose.PARTITION))
-    data = FederatedDataset(base=train, assignment=assignment, alpha=1.0,
-                            holdout=val)
-    cfg = FedConfig(total_rounds=TREND["T"], num_clients=100,
-                    clients_per_round=10, eta_s=TREND["eta_s"],
-                    eta_c=TREND["eta_c"], local_steps=None,
-                    batch_size=TREND["bs"], server_opt="adam",
-                    adam_eps=TREND["eps"], seed=TREND["seed"],
-                    eval_every=TREND["T"])
     out = {}
     correct = {}
-    for name, strat in [
-            ("baseline", StrategyConfig()),
-            ("mqat", StrategyConfig(kind="mqat", bit_set=(2, 3, 4, 6, 8, 32))),
-            ("qat2", StrategyConfig(kind="qat", train_bits=2))]:
-        state, _ = run(cfg, strat, data, hidden=(64,), threads=2)
+    for name, filename in TREND_CONFIGS.items():
+        doc = load_config(os.path.join(CONFIGS, filename))
+        cfg, strat = build_fed_config(doc), build_strategy(doc)
+        data = build_data(doc)
+        state, _ = run(cfg, strat, data, hidden=hidden_widths(doc), threads=2)
         calib = make_calibration_batch(data.base, cfg.batch_size,
                                        RngStream(cfg.seed))
         rep = sweep(state, strat,

@@ -10,8 +10,8 @@ import pytest
 from fedquant import federation
 from fedquant.cli import main
 from fedquant.config import (DEFAULTS, apply_overrides, build_bit_configs,
-                             build_fed_config, build_strategy, load_config,
-                             validate_config)
+                             build_data, build_fed_config, build_strategy,
+                             hidden_widths, load_config, validate_config)
 from fedquant.errors import ConfigError
 from fedquant.federation import FedConfig, config_hash, load_checkpoint
 from fedquant.strategies import StrategyConfig
@@ -96,6 +96,29 @@ class TestConfigDocument:
         configs = build_bit_configs(doc)
         bits = [(c.weight_bits, c.act_bits) for c in configs]
         assert bits == [(8, None), (None, 4), (2, 2)]
+
+
+BOUND_CONFIG = "bound_reference.json"
+RUN_CONFIGS = sorted(name for name in os.listdir(CONFIGS)
+                     if name.endswith(".json") and name != BOUND_CONFIG)
+
+
+@pytest.mark.parametrize("name", RUN_CONFIGS)
+def test_shipped_run_config_builds(name):
+    """Every shipped run config validates and builds its schedule, strategy,
+    data (holdout included), model widths and sweep; each builder raises on
+    a config it cannot build."""
+    doc = load_config(os.path.join(CONFIGS, name))
+    build_fed_config(doc)
+    build_strategy(doc)
+    build_data(doc)
+    hidden_widths(doc)
+    build_bit_configs(doc)
+
+
+def test_shipped_bound_config_exits_0(capsys):
+    assert main(["bound", "--config", os.path.join(CONFIGS, BOUND_CONFIG)]) == 0
+    assert json.loads(capsys.readouterr().out)["conditions_ok"] is True
 
 
 class TestRunCommand:
@@ -248,17 +271,32 @@ def _override(*items):
     return build
 
 
+def _partition_stats(*items):
+    def build(tmp_path, checkpoint):
+        argv = ["partition-stats", "--config", write_config(tmp_path)]
+        for item in items:
+            argv += ["--set", item]
+        return argv
+    return build
+
+
+def _huge_class_separation(doc):
+    """Finite data whose logits lie too far apart for a finite loss."""
+    doc["config"]["data"]["class_separation"] = 1e308
+    doc["config_hash"] = config_hash(doc["config"])
+
+
 def _seedless_run(tmp_path, checkpoint):
     doc = {key: value for key, value in SMOKE.items() if key != "seed"}
     return ["run", "--config", write_config(tmp_path, doc), "--quiet",
             "--out", str(tmp_path / "out")]
 
 
-def _csv_data(bad_row):
-    """Table entry: the smoke run on 40 good CSV rows followed by ``bad_row``."""
+def _csv_data(bad_row, good=40):
+    """Table entry: the smoke run on ``good`` CSV rows followed by ``bad_row``."""
     def build(tmp_path, checkpoint):
         rows = [f"{i % 3}," + ",".join(str(0.1 * (i + j)) for j in range(6))
-                for i in range(40)]
+                for i in range(good)]
         path = tmp_path / "data.csv"
         path.write_text("\n".join(rows + [bad_row]) + "\n")
         doc = {**SMOKE, "data": {**SMOKE["data"], "csv_path": str(path)}}
@@ -325,9 +363,18 @@ MALFORMED_INPUTS = {
     "checkpoint-list-config-with-eval-set": _bad_checkpoint(
         lambda d: d.update(config=[], config_hash=config_hash([])),
         "--set", "eval.weight_bits=[2]"),
+    # finite parameters and data whose holdout loss overflows
+    "checkpoint-overflowing-bias": _bad_checkpoint(
+        lambda d: d["layers"][-1]["bias"].__setitem__(0, 1e308)),
+    "checkpoint-huge-class-separation": _bad_checkpoint(_huge_class_separation),
     "csv-nan-feature": _csv_data("1,0.5,nan,0.5,0.5,0.5,0.5"),
     "csv-nan-label": _csv_data("nan,0.5,0.5,0.5,0.5,0.5,0.5"),
     "csv-sparse-label": _csv_data("50000,0.5,0.5,0.5,0.5,0.5,0.5"),
+    # every 5th row is holdout: four rows would leave it empty
+    "csv-four-rows": _csv_data("0,0.5,0.5,0.5,0.5,0.5,0.5", good=3),
+    "override-four-samples-per-class": _override("data.samples_per_class=4"),
+    "partition-stats-four-samples-per-class": _partition_stats(
+        "data.samples_per_class=4"),
     "csv-path-missing": _override('data.csv_path="missing.csv"'),
     "csv-path-with-line-break": _override('data.csv_path="missing\\nfile.csv"'),
     "config-list-root-with-override": _config_root([]),

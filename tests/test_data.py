@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from fedquant.data import (Dataset, dirichlet_partition, gen_synthetic,
+from fedquant.data import (Batch, Dataset, dirichlet_partition, gen_synthetic,
                            load_csv, partition_stats)
-from fedquant.errors import ConfigError
-from fedquant.mlp import Batch, backward, forward, init_params, predict_logits
+from fedquant.errors import ConfigError, ShapeError
+from fedquant.mlp import backward, forward, init_params, predict_logits
 from fedquant.rng import RngStream
 
 
@@ -16,9 +16,8 @@ def centralized_accuracy(train, val, hidden=32, iters=300, lr=0.5, seed=0):
     """Full-batch gradient descent oracle for separability checks."""
     params = init_params([train.inputs.shape[1], hidden, train.num_classes],
                          RngStream(seed))
-    batch = Batch(train.inputs, train.labels)
     for _ in range(iters):
-        _, cache = forward(params, batch)
+        _, cache = forward(params, train)
         params.add_scaled(backward(cache), -lr)
     logits = predict_logits(params, val.inputs)
     return float(np.mean(np.argmax(logits, axis=1) == val.labels))
@@ -45,6 +44,13 @@ class TestGenSynthetic:
         train, val = gen_synthetic(3, 8, 50, 2.0, RngStream(3))
         assert train.size == 3 * 40 and val.size == 3 * 10
         assert np.array_equal(np.bincount(val.labels), [10, 10, 10])
+
+    def test_every_class_needs_a_holdout_sample(self):
+        """Every 5th sample is holdout, so 4 per class would leave none."""
+        train, val = gen_synthetic(3, 8, 5, 2.0, RngStream(3))
+        assert train.size == 3 * 4 and val.size == 3
+        with pytest.raises(ConfigError, match="samples_per_class must be >= 5"):
+            gen_synthetic(3, 8, 4, 2.0, RngStream(3))
 
     def test_too_many_classes_for_dim(self):
         with pytest.raises(ConfigError):
@@ -191,3 +197,10 @@ class TestDatasetValidation:
     def test_label_range_checked(self):
         with pytest.raises(ConfigError):
             Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), 3)
+
+    def test_a_dataset_is_a_batch_with_its_checks(self):
+        ds = Dataset([[1, 2], [3, 4]], [1, 0], 2)
+        assert isinstance(ds, Batch) and ds.size == 2
+        assert ds.inputs.dtype == np.float64 and ds.labels.dtype == np.int64
+        with pytest.raises(ShapeError):
+            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)

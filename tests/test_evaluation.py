@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from fedquant.data import Dataset, FederatedDataset, dirichlet_partition, gen_synthetic
-from fedquant.errors import ConfigError
-from fedquant.evaluation import (BitConfig, evaluate, quantize_for_eval,
-                                 sweep)
+from fedquant.errors import ConfigError, ShapeError
+from fedquant.evaluation import BitConfig, quantize_for_eval, sweep
 from fedquant.federation import FedConfig, make_calibration_batch, run
 from fedquant.mlp import (PLAIN_PLAN, Batch, backward, forward, init_params,
                           predict_logits, score)
@@ -98,7 +97,8 @@ class TestEvaluate:
         w, b = params.layers[-1]
         w[:] = 0.0
         b[:] = 0.0
-        acc, loss = evaluate(params, PLAIN_PLAN, data.holdout)
+        acc, loss = score(predict_logits(params, data.holdout.inputs),
+                          data.holdout.labels)
         share = float(np.mean(data.holdout.labels == 0))
         assert acc == share
         assert abs(loss - np.log(4)) < 1e-12
@@ -107,18 +107,17 @@ class TestEvaluate:
         root = RngStream(11)
         train, _ = gen_synthetic(3, 6, 20, 8.0, root.child(Purpose.DATA))
         params = init_params([6, 24, 3], RngStream(2))
-        batch = Batch(train.inputs, train.labels)
         for _ in range(400):
-            _, cache = forward(params, batch)
+            _, cache = forward(params, train)
             params.add_scaled(backward(cache), -0.5)
-        acc, _ = evaluate(params, PLAIN_PLAN, train)
+        acc, _ = score(predict_logits(params, train.inputs), train.labels)
         assert acc == 1.0
 
     def test_matches_per_sample_loop_oracle(self):
         data = fed_data(seed=12)
         params = init_params([8, 10, 4], RngStream(3))
-        acc, _ = evaluate(params, PLAIN_PLAN, data.holdout)
         logits = predict_logits(params, data.holdout.inputs)
+        acc, _ = score(logits, data.holdout.labels)
         hits = 0
         for i in range(data.holdout.size):
             if int(np.argmax(logits[i])) == int(data.holdout.labels[i]):
@@ -126,10 +125,9 @@ class TestEvaluate:
         assert acc == hits / data.holdout.size
 
     def test_empty_dataset_rejected(self):
-        params = init_params([4, 4, 2], RngStream(0))
-        with pytest.raises(ConfigError):
-            evaluate(params, PLAIN_PLAN,
-                     Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2))
+        """An empty dataset cannot be built, so none reaches a scorer."""
+        with pytest.raises(ShapeError):
+            Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
 
 
 class TestSweep:
@@ -137,7 +135,8 @@ class TestSweep:
         state, data, cfg = trained_state(StrategyConfig(), rounds=5)
         report = sweep(state, StrategyConfig(), [BitConfig(weight_bits=32)],
                        data.holdout)
-        acc, loss = evaluate(state.params, PLAIN_PLAN, data.holdout)
+        acc, loss = score(predict_logits(state.params, data.holdout.inputs),
+                          data.holdout.labels)
         assert len(report.rows) == 1
         assert report.rows[0].accuracy == acc and report.rows[0].loss == loss
 
@@ -160,9 +159,9 @@ class TestSweep:
         from fedquant.strategies import build_plan
         plan = build_plan(strat, state.step_tables, 4)
         assert eval_plan == plan
-        batch = Batch(data.holdout.inputs, data.holdout.labels)
-        train_time_loss, _ = forward(state.params, batch, plan)
-        eval_loss = evaluate(state.params, eval_plan, data.holdout)[1]
+        train_time_loss, _ = forward(state.params, data.holdout, plan)
+        eval_loss = score(predict_logits(state.params, data.holdout.inputs,
+                                         eval_plan), data.holdout.labels)[1]
         assert train_time_loss == eval_loss
 
     @pytest.mark.parametrize("strat", [
@@ -247,7 +246,8 @@ class TestSweepSearches:
         expected = []
         for bc in self.CONFIGS:
             plan = quantize_for_eval(state, bc, StrategyConfig(), calib, exempt)
-            expected.append(evaluate(state.params, plan, data.holdout))
+            expected.append(score(predict_logits(
+                state.params, data.holdout.inputs, plan), data.holdout.labels))
         searches = []
 
         def counted(w, bits, signed=True):
