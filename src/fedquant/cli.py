@@ -23,9 +23,8 @@ from . import config as cfgmod
 from .data import partition_stats
 from .errors import ConfigError, DivergedError, FedQuantError
 from .evaluation import sweep
-from .federation import (POOL_MIN_PARAMS, config_hash, load_checkpoint,
-                         make_calibration_batch, run, save_checkpoint)
-from .rng import RngStream
+from .federation import (POOL_MIN_PARAMS, config_hash, load_checkpoint, run,
+                         save_checkpoint)
 from .theory import BoundInputs, compute_bound
 
 EXIT_OK = 0
@@ -106,36 +105,30 @@ def _artifacts(doc: dict, state, history, report, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _sweep(doc: dict, state, fed, strat, data, bit_configs):
-    """Sweep the global model over ``bit_configs`` on the holdout, calibrating
-    activation ranges on the run's seeded calibration batch."""
-    calib = make_calibration_batch(data.base, fed.batch_size, RngStream(fed.seed))
-    metadata = {"seed": doc["seed"], "config_hash": config_hash(doc),
-                "rounds_completed": state.round_idx, "config": doc}
-    return sweep(state, strat, bit_configs, data.holdout,
-                 calib_batch=calib, metadata=metadata,
-                 exempt_first_last=doc["eval"]["exempt_first_last"])
+def _sweep(exp: cfgmod.Experiment, state):
+    """Sweep the global model over the experiment's bit configs on the
+    holdout, calibrating activation ranges on its calibration batch."""
+    metadata = {"seed": exp.fed.seed, "config_hash": config_hash(exp.doc),
+                "rounds_completed": state.round_idx, "config": exp.doc}
+    return sweep(state, exp.strategy, exp.bit_configs, exp.data.holdout,
+                 calib_batch=exp.calib_batch, metadata=metadata,
+                 exempt_first_last=exp.doc["eval"]["exempt_first_last"])
 
 
 def cmd_run(args) -> int:
-    doc = cfgmod.load_config(args.config, args.set)
-    fed = cfgmod.build_fed_config(doc)
-    strat = cfgmod.build_strategy(doc)
-    data = cfgmod.build_data(doc)
-    hidden = cfgmod.hidden_widths(doc)
-    bit_configs = cfgmod.build_bit_configs(doc)
-    out_dir = args.out or doc["output"]["dir"]
+    exp = cfgmod.build(cfgmod.load_config(args.config, args.set))
+    out_dir = args.out or exp.doc["output"]["dir"]
 
     def progress(round_idx, row):
         if not args.quiet:
-            print(f"round {round_idx}/{fed.total_rounds} "
+            print(f"round {round_idx}/{exp.fed.total_rounds} "
                   f"val_acc={row.val_accuracy:.4f} val_loss={row.val_loss:.4f} "
                   f"client_loss={row.mean_client_loss:.4f}")
 
-    state, history = run(fed, strat, data, hidden=hidden,
+    state, history = run(exp.fed, exp.strategy, exp.data, hidden=exp.hidden,
                          threads=max(1, args.threads), progress=progress)
-    report = _sweep(doc, state, fed, strat, data, bit_configs)
-    _artifacts(doc, state, history, report, out_dir)
+    report = _sweep(exp, state)
+    _artifacts(exp.doc, state, history, report, out_dir)
     if not args.quiet:
         for row in report.rows:
             wb = "-" if row.weight_bits is None else row.weight_bits
@@ -175,7 +168,7 @@ def cmd_partition_stats(args) -> int:
     data = cfgmod.build_data(doc)
     stats = partition_stats(data.base.labels, data.assignment,
                             data.base.num_classes)
-    stats["alpha"] = data.alpha
+    stats["alpha"] = doc["data"]["alpha"]
     stats["config_hash"] = config_hash(doc)
     print(json.dumps(stats, indent=2))
     return EXIT_OK
@@ -187,9 +180,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"eval --set accepts only eval.* keys, got {outside[0]!r}")
     state, doc = load_checkpoint(args.checkpoint)
     doc = cfgmod.validate_config(cfgmod.apply_overrides(doc, args.set))
-    report = _sweep(doc, state, cfgmod.build_fed_config(doc),
-                    cfgmod.build_strategy(doc), cfgmod.build_data(doc),
-                    cfgmod.build_bit_configs(doc))
+    report = _sweep(cfgmod.build(doc), state)
     print(json.dumps(report.to_json_dict(), indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

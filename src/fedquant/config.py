@@ -14,19 +14,26 @@ import copy
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
-from .data import (Dataset, FederatedDataset, dirichlet_partition,
+from .data import (Batch, Dataset, FederatedDataset, dirichlet_partition,
                    gen_synthetic, holdout_mask, load_csv)
 from .errors import ConfigError
 from .evaluation import BitConfig
-from .federation import FedConfig
+from .federation import FedConfig, _resolve_local_steps, make_calibration_batch
 from .rng import Purpose, RngStream
 from .strategies import StrategyConfig
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "FEDQUANT_SEED"
+
+# Most values the synthetic data, the model or one client's gathered batches
+# may hold. 2**31 float64 values are 16 GiB, far above every shipped config
+# and benchmark workload (at most 800,000 data values and 76,810 parameters,
+# both wide-apqn's), yet a mistyped size such as 2**70 is refused here with
+# exit 2 instead of reaching numpy as an array it cannot allocate.
+MAX_VALUES = 2 ** 31
 
 # dataclass fields whose JSON key differs from the field name
 _JSON_KEYS = {"lam": "lambda"}
@@ -203,21 +210,17 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     return validate_config(raw)
 
 
-def build_fed_config(doc: dict) -> FedConfig:
-    return FedConfig(seed=doc["seed"], **doc["federation"])
-
-
-def build_strategy(doc: dict) -> StrategyConfig:
-    s = dict(doc["strategy"])
-    s["lam"] = s.pop("lambda")
-    return StrategyConfig(**s)
-
-
 def _stride_split(ds: Dataset) -> tuple[Dataset, Dataset]:
     val_mask = holdout_mask(ds.size, "the number of CSV rows")
     train = Dataset(ds.inputs[~val_mask], ds.labels[~val_mask], ds.num_classes)
     val = Dataset(ds.inputs[val_mask], ds.labels[val_mask], ds.num_classes)
     return train, val
+
+
+def _check_count(what: str, count: int) -> None:
+    if count > MAX_VALUES:
+        raise ConfigError(f"{what} would hold {count} values, more than "
+                          f"the {MAX_VALUES} a run may allocate")
 
 
 def build_data(doc: dict) -> FederatedDataset:
@@ -227,31 +230,58 @@ def build_data(doc: dict) -> FederatedDataset:
         full = load_csv(d["csv_path"])
         train, val = _stride_split(full)
     else:
+        _check_count("the synthetic data",
+                     d["num_classes"] * d["samples_per_class"] * d["dim"])
         train, val = gen_synthetic(d["num_classes"], d["dim"],
                                    d["samples_per_class"], d["class_separation"],
                                    root.child(Purpose.DATA))
     assignment = dirichlet_partition(train.labels,
                                      doc["federation"]["num_clients"],
                                      d["alpha"], root.child(Purpose.PARTITION))
-    return FederatedDataset(base=train, assignment=assignment,
-                            alpha=d["alpha"], holdout=val)
+    return FederatedDataset(base=train, assignment=assignment, holdout=val)
 
 
-def build_bit_configs(doc: dict) -> list[BitConfig]:
+@dataclass(frozen=True)
+class Experiment:
+    """A validated config document and the run and sweep built from it."""
+
+    doc: dict
+    fed: FedConfig
+    strategy: StrategyConfig
+    data: FederatedDataset
+    hidden: tuple[int, ...]
+    bit_configs: list[BitConfig]
+
+    @property
+    def calib_batch(self) -> Batch:
+        """The seeded batch both step tables and sweep calibrate on."""
+        return make_calibration_batch(self.data.base, self.fed.batch_size,
+                                      RngStream(self.fed.seed))
+
+
+def build(doc: dict) -> Experiment:
+    """The run and sweep of a validated document; ConfigError if a part cannot
+    be built or the model or a client's batches exceed ``MAX_VALUES``."""
+    s = dict(doc["strategy"])
+    s["lam"] = s.pop("lambda")
+    fed = FedConfig(seed=doc["seed"], **doc["federation"])
+    strat = StrategyConfig(**s)
+    data = build_data(doc)
+    hidden = tuple(doc["model"]["hidden"])
+    if not hidden or min(hidden) < 1:
+        raise ConfigError("model.hidden must list positive layer widths")
+    widths = [data.base.inputs.shape[1], *hidden, data.base.num_classes]
+    _check_count("the model", sum((a + 1) * b for a, b in zip(widths, widths[1:])))
+    largest = max(a.size for a in data.assignment)
+    _check_count("one client's batches", _resolve_local_steps(fed, largest)
+                 * min(fed.batch_size, largest) * widths[0])
     e = doc["eval"]
     for key in ("weight_bits", "act_bits", "wa_bits"):
         if len(set(e[key])) != len(e[key]):
             raise ConfigError(f"eval.{key} {e[key]} repeats a bit-width")
-    configs = [BitConfig(weight_bits=b) for b in e["weight_bits"]]
-    configs += [BitConfig(act_bits=b) for b in e["act_bits"]]
-    configs += [BitConfig(weight_bits=b, act_bits=b) for b in e["wa_bits"]]
-    if not configs:
+    bit_configs = [BitConfig(weight_bits=b) for b in e["weight_bits"]]
+    bit_configs += [BitConfig(act_bits=b) for b in e["act_bits"]]
+    bit_configs += [BitConfig(weight_bits=b, act_bits=b) for b in e["wa_bits"]]
+    if not bit_configs:
         raise ConfigError("the eval section requests no bit configs")
-    return configs
-
-
-def hidden_widths(doc: dict) -> tuple[int, ...]:
-    hidden = tuple(int(h) for h in doc["model"]["hidden"])
-    if not hidden or any(h < 1 for h in hidden):
-        raise ConfigError("model.hidden must list positive layer widths")
-    return hidden
+    return Experiment(doc, fed, strat, data, hidden, bit_configs)

@@ -53,7 +53,6 @@ class FederatedDataset:
 
     base: Dataset
     assignment: list[np.ndarray]
-    alpha: float
     holdout: Dataset
 
     @property

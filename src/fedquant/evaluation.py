@@ -165,13 +165,16 @@ def sweep(state: ServerState, strat: StrategyConfig,
     """
     weight_specs: dict[int, list[QuantSpec | None]] = {}
     report = EvalReport(metadata=dict(metadata or {}))
-    for bc in bit_configs:
-        plan = quantize_for_eval(state, bc, strat, calib_batch,
-                                 exempt_first_last, weight_specs)
-        acc, loss = score(predict_logits(state.params, dataset.inputs, plan),
-                          dataset.labels)
-        report.rows.append(EvalRow(strategy=strat.kind,
-                                   weight_bits=bc.weight_bits,
-                                   act_bits=bc.act_bits,
-                                   accuracy=acc, loss=loss))
+    # a checkpoint's step may be tiny beside a weight (subnormal, or 1e300
+    # weights), so w / step overflows; the clip maps inf back onto the grid
+    with np.errstate(over="ignore"):
+        for bc in bit_configs:
+            plan = quantize_for_eval(state, bc, strat, calib_batch,
+                                     exempt_first_last, weight_specs)
+            acc, loss = score(predict_logits(state.params, dataset.inputs, plan),
+                              dataset.labels)
+            report.rows.append(EvalRow(strategy=strat.kind,
+                                       weight_bits=bc.weight_bits,
+                                       act_bits=bc.act_bits,
+                                       accuracy=acc, loss=loss))
     return report

@@ -262,7 +262,7 @@ def step_round(state: ServerState, cfg: FedConfig, strat: StrategyConfig,
 
 
 def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
-        hidden: tuple[int, ...] = (64,), threads: int = 1,
+        hidden: tuple[int, ...], threads: int = 1,
         progress=None) -> tuple[ServerState, TrainingHistory]:
     """Execute the full round loop; deterministic for a given cfg.seed.
 

@@ -24,11 +24,10 @@ import numpy as np
 import pytest
 
 from fedquant.cli import main as cli_main
-from fedquant.config import (build_data, build_fed_config, build_strategy,
-                             hidden_widths, load_config)
+from fedquant.config import build, load_config
 from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
 from fedquant.evaluation import BitConfig, quantize_for_eval, sweep
-from fedquant.federation import FedConfig, make_calibration_batch, run
+from fedquant.federation import FedConfig, run
 from fedquant.mlp import (Batch, ParamSet, QuantPlan, backward, forward,
                           init_params, kure_terms, predict_logits)
 from fedquant.quantize import (StepTable, make_spec, pseudo_quantize,
@@ -194,8 +193,7 @@ def _fixed_run(strat, seed=505):
     train, val = gen_synthetic(4, 8, 50, 3.0, root.child(Purpose.DATA))
     assignment = dirichlet_partition(train.labels, 8, 1.0,
                                      root.child(Purpose.PARTITION))
-    data = FederatedDataset(base=train, assignment=assignment, alpha=1.0,
-                            holdout=val)
+    data = FederatedDataset(base=train, assignment=assignment, holdout=val)
     cfg = FedConfig(total_rounds=10, num_clients=8, clients_per_round=4,
                     eta_s=0.5, eta_c=0.05, local_steps=2, batch_size=8,
                     server_opt="adam", seed=seed, eval_every=2)
@@ -319,8 +317,7 @@ def test_criterion_8_bound_dominance():
     train, val = gen_synthetic(2, 5, 40, 2.0, root.child(Purpose.DATA))
     assignment = dirichlet_partition(train.labels, 4, 1.0,
                                      root.child(Purpose.PARTITION))
-    data = FederatedDataset(base=train, assignment=assignment, alpha=1.0,
-                            holdout=val)
+    data = FederatedDataset(base=train, assignment=assignment, holdout=val)
     result = empirical_bound_check(data, hidden=(6,), train_bits=4,
                                    rounds=500, seed=800)
     elapsed = time.time() - start
@@ -394,21 +391,16 @@ def trend_accuracies():
     out = {}
     correct = {}
     for name, filename in TREND_CONFIGS.items():
-        doc = load_config(os.path.join(CONFIGS, filename))
-        cfg, strat = build_fed_config(doc), build_strategy(doc)
-        data = build_data(doc)
-        state, _ = run(cfg, strat, data, hidden=hidden_widths(doc), threads=2)
-        calib = make_calibration_batch(data.base, cfg.batch_size,
-                                       RngStream(cfg.seed))
-        rep = sweep(state, strat,
-                    [BitConfig(weight_bits=b) for b in (32, 8, 2)],
-                    data.holdout, calib_batch=calib)
+        exp = build(load_config(os.path.join(CONFIGS, filename)))
+        strat, holdout, calib = exp.strategy, exp.data.holdout, exp.calib_batch
+        state, _ = run(exp.fed, strat, exp.data, hidden=exp.hidden, threads=2)
+        rep = sweep(state, strat, exp.bit_configs, holdout, calib_batch=calib)
         out[name] = {r.weight_bits: r.accuracy for r in rep.rows}
         for bits in [b for s, b in PAIRED_EVALS if s == name]:
             plan = quantize_for_eval(state, BitConfig(weight_bits=bits), strat,
                                      calib)
-            logits = predict_logits(state.params, data.holdout.inputs, plan)
-            hit = np.argmax(logits, axis=1) == data.holdout.labels
+            logits = predict_logits(state.params, holdout.inputs, plan)
+            hit = np.argmax(logits, axis=1) == holdout.labels
             # the sign tests must see the very models the sweep scored
             assert float(np.mean(hit)) == out[name][bits], (name, bits)
             correct[(name, bits)] = hit

@@ -4,14 +4,14 @@ import json
 import math
 import os
 import re
+import warnings
 
 import pytest
 
 from fedquant import federation
 from fedquant.cli import main
-from fedquant.config import (DEFAULTS, apply_overrides, build_bit_configs,
-                             build_data, build_fed_config, build_strategy,
-                             hidden_widths, load_config, validate_config)
+from fedquant.config import (DEFAULTS, apply_overrides, build, load_config,
+                             validate_config)
 from fedquant.errors import ConfigError
 from fedquant.federation import FedConfig, config_hash, load_checkpoint
 from fedquant.strategies import StrategyConfig
@@ -78,23 +78,22 @@ class TestConfigDocument:
                 load_config(write_config(tmp_path, root, "root.json"))
 
     def test_defaults_are_the_dataclass_defaults(self):
-        doc = validate_config({})
-        assert build_fed_config(doc) == FedConfig()
-        assert build_strategy(doc) == StrategyConfig()
+        exp = build(validate_config({}))
+        assert exp.fed == FedConfig()
+        assert exp.strategy == StrategyConfig()
 
     def test_lambda_reaches_strategy_lam(self):
         path = os.path.join(CONFIGS, "trend_kure.json")
         with open(path, encoding="utf-8") as fh:
             given = json.load(fh)["strategy"]["lambda"]
-        assert build_strategy(load_config(path)).lam == given
+        assert build(load_config(path)).strategy.lam == given
         overridden = load_config(path, ["strategy.lambda=0.25"])
-        assert build_strategy(overridden).lam == 0.25
+        assert build(overridden).strategy.lam == 0.25
 
     def test_eval_section_builds_configs(self):
         doc = validate_config({"eval": {"weight_bits": [8], "act_bits": [4],
                                         "wa_bits": [2]}})
-        configs = build_bit_configs(doc)
-        bits = [(c.weight_bits, c.act_bits) for c in configs]
+        bits = [(c.weight_bits, c.act_bits) for c in build(doc).bit_configs]
         assert bits == [(8, None), (None, 4), (2, 2)]
 
 
@@ -106,14 +105,9 @@ RUN_CONFIGS = sorted(name for name in os.listdir(CONFIGS)
 @pytest.mark.parametrize("name", RUN_CONFIGS)
 def test_shipped_run_config_builds(name):
     """Every shipped run config validates and builds its schedule, strategy,
-    data (holdout included), model widths and sweep; each builder raises on
-    a config it cannot build."""
-    doc = load_config(os.path.join(CONFIGS, name))
-    build_fed_config(doc)
-    build_strategy(doc)
-    build_data(doc)
-    hidden_widths(doc)
-    build_bit_configs(doc)
+    data (holdout included), model widths and sweep; ``build`` raises on a
+    config it cannot build."""
+    build(load_config(os.path.join(CONFIGS, name)))
 
 
 def test_shipped_bound_config_exits_0(capsys):
@@ -375,6 +369,13 @@ MALFORMED_INPUTS = {
     "override-four-samples-per-class": _override("data.samples_per_class=4"),
     "partition-stats-four-samples-per-class": _partition_stats(
         "data.samples_per_class=4"),
+    # sizes beyond config.MAX_VALUES, refused before any array is drawn
+    "override-huge-dim": _override(f"data.dim={2 ** 70}"),
+    "partition-stats-huge-dim": _partition_stats(f"data.dim={2 ** 70}"),
+    "override-huge-samples-per-class": _override(
+        f"data.samples_per_class={2 ** 70}"),
+    "override-huge-hidden": _override(f"model.hidden=[{2 ** 70}]"),
+    "override-huge-local-steps": _override(f"federation.local_steps={2 ** 70}"),
     "csv-path-missing": _override('data.csv_path="missing.csv"'),
     "csv-path-with-line-break": _override('data.csv_path="missing\\nfile.csv"'),
     "config-list-root-with-override": _config_root([]),
@@ -435,6 +436,39 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys,
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_batch_size_beyond_every_client_runs(tmp_path):
+    """A batch takes at most a client's whole data, so a batch size of 2**70
+    is no size to refuse."""
+    assert main(["run", "--config", write_config(tmp_path), "--quiet",
+                 "--out", str(tmp_path / "out"),
+                 "--set", f"federation.batch_size={2 ** 70}"]) == 0
+
+
+def _tiny_first_step(doc):
+    doc["step_tables"]["weights"][0] = {"2": 1e-320, "4": 1e-320}
+
+
+def _huge_first_weight(doc):
+    doc["layers"][0]["weight"][0][0] = 1e300
+    doc["step_tables"]["weights"][0] = {"2": 1e-10, "4": 1e-10}
+
+
+@pytest.mark.parametrize("edit, args", [
+    (_tiny_first_step, ()),
+    (_huge_first_weight, ("--set", "eval.weight_bits=[2]"))])
+def test_sweep_quotient_overflow_is_silent(edit, args, tmp_path, capsys,
+                                           smoke_checkpoint):
+    """w / step overflows to inf under a subnormal step or beside a huge
+    weight; the clip maps it back onto the grid, with no warning."""
+    argv = _bad_checkpoint(edit, *args)(tmp_path, smoke_checkpoint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and all(math.isfinite(r["accuracy"]) and math.isfinite(r["loss"])
+                        for r in rows)
 
 
 class TestBoundCommand:

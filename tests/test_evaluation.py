@@ -22,8 +22,7 @@ def fed_data(seed=0, classes=4, dim=8, per_class=40, clients=6):
     train, val = gen_synthetic(classes, dim, per_class, 4.0, root.child(Purpose.DATA))
     assignment = dirichlet_partition(train.labels, clients, 1.0,
                                      root.child(Purpose.PARTITION))
-    return FederatedDataset(base=train, assignment=assignment, alpha=1.0,
-                            holdout=val)
+    return FederatedDataset(base=train, assignment=assignment, holdout=val)
 
 
 def trained_state(strat, seed=5, rounds=30, data=None, hidden=(10,)):

@@ -25,8 +25,7 @@ def tiny_fed_data(seed=0, classes=4, dim=8, per_class=40, clients=8, sep=3.0,
     train, val = gen_synthetic(classes, dim, per_class, sep, root.child(Purpose.DATA))
     assignment = dirichlet_partition(train.labels, clients, alpha,
                                      root.child(Purpose.PARTITION))
-    return FederatedDataset(base=train, assignment=assignment, alpha=alpha,
-                            holdout=val)
+    return FederatedDataset(base=train, assignment=assignment, holdout=val)
 
 
 class TestSampleClients:

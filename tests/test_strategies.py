@@ -5,16 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from fedquant.config import (build_data, build_fed_config, build_strategy,
-                             hidden_widths, load_config)
+from fedquant.config import build, load_config
 from fedquant.errors import ConfigError, DivergedError
-from fedquant.federation import init_state, make_calibration_batch
+from fedquant.federation import init_state
 from fedquant.mlp import Batch, backward, forward, init_params
 from fedquant.quantize import quantize, rescale_step
 from fedquant.rng import Purpose, RngStream
 from fedquant.strategies import (ClientTask, StrategyConfig, build_plan,
                                  calibrate_steps, local_train, resolve_bits)
 from helpers import kure_gradient, steps_consistent
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def make_net(seed=0, widths=(6, 10, 4)):
@@ -143,17 +144,24 @@ class TestCalibration:
         """float.hex of the 2-bit anchor steps calibrated on the trend
         config's initial weights and calibration batch, recorded from the
         one-quantize-call-per-candidate search."""
-        doc = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
-                                       "configs", "trend_mqat.json"))
-        data, cfg = build_data(doc), build_fed_config(doc)
-        state = init_state(cfg, build_strategy(doc), data, hidden_widths(doc))
+        exp = build(load_config(os.path.join(CONFIGS, "trend_mqat.json")))
+        state = init_state(exp.fed, exp.strategy, exp.data, exp.hidden)
         assert [t.steps[2].hex() for t in state.step_tables.weights] == [
             "0x1.0d99dab22bf27p-2", "0x1.8564130f89531p-3"]
-        calib = make_calibration_batch(data.base, cfg.batch_size,
-                                       RngStream(cfg.seed))
-        tables = calibrate_steps(state.params, (2, 3, 4, 6, 8), calib,
+        tables = calibrate_steps(state.params, (2, 3, 4, 6, 8), exp.calib_batch,
                                  quantize_acts=True)
         assert [t.steps[2].hex() for t in tables.acts] == ["0x1.04d8a6c386f22p+0"]
+
+    def test_experiment_calib_batch_is_the_training_calibration_batch(self):
+        """The sweep calibrates activations on ``Experiment.calib_batch``;
+        recalibrating on it reproduces the run's round-0 tables exactly."""
+        exp = build(load_config(os.path.join(CONFIGS, "trend_apqn_w2.json"),
+                                ["strategy.quantize_acts=true"]))
+        strat = exp.strategy
+        state = init_state(exp.fed, strat, exp.data, exp.hidden)
+        assert state.step_tables.acts is not None
+        assert calibrate_steps(state.params, strat.relevant_bits(),
+                               exp.calib_batch, True) == state.step_tables
 
 
 class TestLocalTrain:

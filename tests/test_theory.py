@@ -192,8 +192,7 @@ class TestEmpiricalBoundCheck:
         train, val = gen_synthetic(2, 5, 40, 2.0, root.child(Purpose.DATA))
         assignment = dirichlet_partition(train.labels, 4, 1.0,
                                          root.child(Purpose.PARTITION))
-        data = FederatedDataset(base=train, assignment=assignment, alpha=1.0,
-                                holdout=val)
+        data = FederatedDataset(base=train, assignment=assignment, holdout=val)
         result = empirical_bound_check(data, hidden=(6,), train_bits=4,
                                        rounds=25, seed=100)
         assert result.report.conditions_ok
