@@ -325,25 +325,61 @@ def _tables_from_json(obj) -> StepTables | None:
                       acts=None if obj["acts"] is None else parse(obj["acts"]))
 
 
+# Values the checkpoint writer encodes at a time (one row, if a row holds
+# more): its Python floats and their text stay under about half a MiB.
+WRITE_VALUES = 4096
+
+
+def _write_array(fh, arr: np.ndarray) -> None:
+    """Write ``json.dumps(arr.tolist())``, encoding at most ``WRITE_VALUES``
+    values (or one row of a matrix) at a time with the C encoder."""
+    rows = max(1, WRITE_VALUES // max(1, math.prod(arr.shape[1:])))
+    fh.write("[")
+    for lo in range(0, len(arr), rows):
+        if lo:
+            fh.write(", ")
+        fh.write(json.dumps(arr[lo:lo + rows].tolist())[1:-1])
+    fh.write("]")
+
+
 def save_checkpoint(path: str, state: ServerState, config: dict) -> None:
-    """Versioned JSON container for a ServerState plus its experiment config."""
-    doc = {
+    """Versioned JSON container for a ServerState plus its experiment config.
+
+    The file holds the bytes of ``json.dumps(doc) + "\n"`` for the document
+    ``{"magic", "version", "round", "config_hash", "config", "widths",
+    "layers": [{"weight", "bias"}, ...], "adam_m", "adam_v", "step_tables"}``,
+    written in order without building it: the head up to ``widths`` in one
+    ``json.dumps``, each weight, bias and Adam vector through
+    ``_write_array``, then the step tables. So the writer holds a few
+    thousand values as Python floats and text, not every parameter.
+    """
+    head = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "round": state.round_idx,
         "config_hash": config_hash(config),
         "config": config,
         "widths": state.params.widths,
-        "layers": [{"weight": w.tolist(), "bias": b.tolist()}
-                   for w, b in state.params.layers],
-        "adam_m": None if state.adam_m is None else state.adam_m.tolist(),
-        "adam_v": None if state.adam_v is None else state.adam_v.tolist(),
-        "step_tables": _tables_to_json(state.step_tables),
     }
-    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+        fh.write(json.dumps(head)[:-1])
+        fh.write(', "layers": [')
+        for l, (w, b) in enumerate(state.params.layers):
+            fh.write(', {"weight": ' if l else '{"weight": ')
+            _write_array(fh, w)
+            fh.write(', "bias": ')
+            _write_array(fh, b)
+            fh.write("}")
+        fh.write("]")
+        for name, vec in (("adam_m", state.adam_m), ("adam_v", state.adam_v)):
+            fh.write(f', "{name}": ')
+            if vec is None:
+                fh.write("null")
+            else:
+                _write_array(fh, vec)
+        fh.write(', "step_tables": ')
+        fh.write(json.dumps(_tables_to_json(state.step_tables)))
+        fh.write("}\n")
 
 
 def _check_restored(state: ServerState, doc: dict) -> None:

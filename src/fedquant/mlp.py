@@ -278,27 +278,55 @@ def kure_terms(tensors: list[np.ndarray], k_tau: float
     return float(np.mean(penalties)), grads
 
 
+# Values in one eval-forward block's widest activation (2 MiB of float64).
+BLOCK_VALUES = 1 << 18
+# Multiply-adds up to which OpenBLAS 0.3.31 may run a product through its
+# small-matrix kernel, whose rows differ from the same rows of a larger
+# product; one row runs through gemv, which differs too.
+SMALL_PRODUCT = 10 ** 6
+
+
 def predict_logits(params: ParamSet, inputs: np.ndarray,
                    plan: QuantPlan = PLAIN_PLAN) -> np.ndarray:
     """Forward pass to logits only (used by evaluation), under the plan's
     weight and activation grids; a plan with noise is rejected.
 
-    Each layer's matmul output is its only new activation-sized array: the
+    Each weight is quantized once per call. The rows then run in blocks,
+    split as evenly as ``np.array_split`` splits them, and each block's
+    logits go into one preallocated array. Blocks hold at most
+    ``BLOCK_VALUES // widest layer`` rows, so the pass holds two block
+    activations at a time however many rows it scores: within a block each
+    layer's matmul output is its only new activation-sized array, and the
     bias, the ReLU and the activation grid (``_apply(..., out=)``) apply to
-    it in place, so the pass holds one layer's input and output at a time,
-    plus a quantized weight, a boolean mask or one block of rounding signs.
+    it in place. Besides those it holds the quantized weights, the logits
+    and a boolean mask or one block of rounding signs.
+
+    The logits equal those of one unblocked pass bit for bit. So no block
+    is split off that holds one row or whose product with some layer takes
+    ``SMALL_PRODUCT`` multiply-adds or fewer; that rule wins over the row
+    bound, and inputs too small to split run as one product, as the
+    unblocked pass does.
     """
     if plan.needs_rng:
         raise UsageError("predict_logits takes grids, not noise")
     a = np.asarray(inputs, dtype=np.float64)
-    n_layers = params.num_layers
-    for l, (w, b) in enumerate(params.layers):
-        h = matmul(a, _apply(w, plan.weights, l))
-        h += b
-        if l < n_layers - 1:
-            np.maximum(h, 0.0, out=h)
-            a = _apply(h, plan.acts, l, out=h)
-    return h
+    weights = [_apply(w, plan.weights, l) for l, (w, _) in enumerate(params.layers)]
+    most = max(1, BLOCK_VALUES // max(params.widths))
+    least = max(2, SMALL_PRODUCT // min(w.size for w in weights) + 1)
+    blocks = max(1, min(-(-len(a) // most), len(a) // least))
+    logits = np.empty((len(a), params.widths[-1]))
+    lo = 0
+    for block in np.array_split(a, blocks):
+        h = block
+        for l, (w, (_, b)) in enumerate(zip(weights, params.layers)):
+            h = matmul(h, w)
+            h += b
+            if l < len(weights) - 1:
+                np.maximum(h, 0.0, out=h)
+                h = _apply(h, plan.acts, l, out=h)
+        logits[lo:lo + len(block)] = h
+        lo += len(block)
+    return logits
 
 
 def score(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

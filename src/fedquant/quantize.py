@@ -78,7 +78,9 @@ _ROUND_BLOCK = 1 << 16
 
 
 def _round_rows(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    sign = np.sign(x)
+    # copysign, not np.sign: a -0.0 keeps its sign, so quantize is
+    # idempotent by bytes
+    sign = np.copysign(1.0, x)
     k = np.abs(x, out=out)
     k += 0.5
     np.floor(k, out=k)
@@ -87,13 +89,14 @@ def _round_rows(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 
 def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (np.round ties to even).
+    """Round to nearest integer, ties away from zero (np.round ties to even);
+    a zero result keeps the sign of its input, so -0.0 stays -0.0.
 
     ``x`` is an array of at least one dimension. The result goes to ``out``
     (``x`` itself or a buffer not overlapping it), or to a new array when
     ``out`` is None, leaving ``x`` unchanged. Row blocks of at most
     ``_ROUND_BLOCK`` elements are rounded in turn, so the only temporary is
-    one block's ``np.sign``; a boolean mask with ``np.negative(...,
+    one block's ``np.copysign``; a boolean mask with ``np.negative(...,
     where=)`` would be smaller, but numpy's masked loop is 2-3x slower.
     """
     if x.size <= _ROUND_BLOCK:
@@ -141,7 +144,7 @@ def candidate_mse(w: np.ndarray, steps: np.ndarray, bits: int,
     grid_min, grid_max = grid_bounds(bits, signed)
     flat = np.asarray(w, dtype=np.float64).ravel(order="K")
     mag = np.abs(flat)
-    sign = np.sign(flat)
+    sign = np.copysign(1.0, flat)
     # round(|w|/step) clamped to the grid on w's side of zero
     cap = np.where(flat >= 0, float(grid_max), float(-grid_min))
     mse = np.empty(steps.size)

@@ -6,6 +6,7 @@ bit for bit.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -17,6 +18,17 @@ from fedquant.mlp import Batch, ParamSet, forward
 from fedquant.quantize import (IDENTITY_BITS, RANGE_CANDIDATES, QuantSpec,
                                StepTable, estimate_range_mse, make_spec)
 from fedquant.rng import _GOLDEN, _MIX1, _MIX2
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated during
+    ``fn(*args, **kwargs)``, above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def check_gradients(params: ParamSet, loss_fn, analytic: ParamSet,
@@ -101,17 +113,17 @@ def integers_oracle(key: int, counter: int, upper: int, n: int) -> np.ndarray:
 
 def round_half_away_oracle(x: np.ndarray) -> np.ndarray:
     """``round_half_away`` before it took ``out=``: floor(|x| + 0.5) times
-    ``np.sign(x)``, in a new array."""
+    ``np.copysign(1.0, x)``, in a new array, so a zero keeps its sign."""
     k = np.abs(x)
     k += 0.5
     np.floor(k, out=k)
-    k *= np.sign(x)
+    k *= np.copysign(1.0, x)
     return k
 
 
 def quantize_oracle(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """``quantize`` before it took ``out=``: step * clip(round(w / step),
-    lo, hi), each stage a new array."""
+    lo, hi), each stage a new array; -0.0 maps to -0.0."""
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericError("cannot quantize non-finite values")

@@ -3,27 +3,34 @@ CLI's exit-code contract (0 success, 2 configuration error, 3 divergence),
 and a failing run prints exactly one ``error:`` line and no traceback; any
 document setting several config fields at once builds or raises
 ConfigError; any tensor, bit-width, signedness and step keeps the quantizer
-laws."""
+laws; any server state checkpoints to the bytes ``json.dump`` streams."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from fedquant import federation  # noqa: E402
 
 from fedquant.cli import main  # noqa: E402
 from fedquant.config import (DEFAULTS, apply_overrides, build,  # noqa: E402
                              validate_config)
 from fedquant.errors import ConfigError  # noqa: E402
-from fedquant.quantize import QuantSpec, quantize, ste_mask  # noqa: E402
-from fedquant.strategies import MQAT_MODES, STRATEGY_KINDS  # noqa: E402
-from helpers import quantize_oracle  # noqa: E402
+from fedquant.federation import ServerState, save_checkpoint  # noqa: E402
+from fedquant.mlp import ParamSet  # noqa: E402
+from fedquant.quantize import QuantSpec, StepTable, quantize, ste_mask  # noqa: E402
+from fedquant.strategies import (MQAT_MODES, STRATEGY_KINDS,  # noqa: E402
+                                 StepTables)
+from helpers import checkpoint_oracle, quantize_oracle  # noqa: E402
 
 SMOKE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "configs", "smoke.json")
@@ -163,10 +170,57 @@ def test_quantizer_laws(case):
     k = np.rint(q / spec.step)
     assert np.all((k >= lo) & (k <= hi))
     assert np.array_equal(q, spec.step * k)
-    # equal as numbers: a -0.0 output (an unsigned grid's clip of a small
-    # negative) comes back as +0.0
-    assert np.array_equal(quantize(q, spec), q)
+    # idempotent by bytes: a -0.0 output (an unsigned grid's clip of a
+    # small negative) stays -0.0
+    assert quantize(q, spec).tobytes() == q.tobytes()
     ratio = w / spec.step
     near = (ratio >= lo - 0.5) & (ratio <= hi + 0.5)
     assert np.all(np.abs(q - w)[near] <= spec.step / 2 * (1 + 1e-12))
     assert np.array_equal(ste_mask(w, spec), (ratio >= lo) & (ratio <= hi))
+
+
+CHECKPOINT_VALUES = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e300,
+                     -1e300, 1 / 3]))
+
+
+@st.composite
+def server_states(draw):
+    """A state over drawn layer widths and values, with or without Adam
+    moments and step tables (with or without activation tables)."""
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    layers = [(draw(arrays(np.float64, (i, o), elements=CHECKPOINT_VALUES)),
+               draw(arrays(np.float64, o, elements=CHECKPOINT_VALUES)))
+              for i, o in zip(widths[:-1], widths[1:])]
+    params = ParamSet(layers)
+    vector = arrays(np.float64, params.dim, elements=CHECKPOINT_VALUES)
+    adam = draw(st.booleans())
+    tables = None
+    if draw(st.booleans()):
+        step = st.floats(min_value=1e-12, max_value=1e3)
+
+        def table():
+            return StepTable({b: draw(step) for b in
+                              draw(st.sets(st.sampled_from((2, 3, 4, 8)), min_size=1))})
+        tables = StepTables(weights=[table() for _ in layers],
+                            acts=[table() for _ in layers[1:]]
+                            if draw(st.booleans()) else None)
+    return ServerState(round_idx=draw(st.integers(0, 10 ** 6)), params=params,
+                       adam_m=draw(vector) if adam else None,
+                       adam_v=draw(vector) if adam else None,
+                       step_tables=tables)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(state=server_states(), block=st.integers(1, 8))
+def test_checkpoint_bytes_match_the_streamed_encoder(state, block):
+    """With the writer's block drawn small, every vector spans blocks."""
+    config = {"seed": 1, "name": "x\u00e9"}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(federation, "WRITE_VALUES", block):
+        got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+        save_checkpoint(got, state, config)
+        checkpoint_oracle(want, state, config)
+        with open(got, "rb") as fg, open(want, "rb") as fw:
+            assert fg.read() == fw.read()
