@@ -11,6 +11,7 @@ parallelized freely without changing a single bit of the result.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -316,11 +317,26 @@ def _tables_to_json(tables: StepTables | None):
     }
 
 
+def _floats(value) -> np.ndarray:
+    """``value``, a number or lists of numbers, as float64. As in the config
+    schema, a bool is not a number and neither is a string, though
+    ``np.asarray`` would convert both."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim > 1:
+        value = itertools.chain.from_iterable(value)
+    odd = set(map(type, value if arr.ndim else [value])) - {int, float}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise ConfigError(f"values must be numbers, not {names}")
+    return arr
+
+
 def _tables_from_json(obj) -> StepTables | None:
     if obj is None:
         return None
     def parse(entries):
-        return [StepTable({int(b): float(s) for b, s in e.items()}) for e in entries]
+        return [StepTable({int(b): float(_floats(s)) for b, s in e.items()})
+                for e in entries]
     return StepTables(weights=parse(obj["weights"]),
                       acts=None if obj["acts"] is None else parse(obj["acts"]))
 
@@ -390,7 +406,7 @@ def _check_restored(state: ServerState, doc: dict) -> None:
     if type(doc["round"]) is not int or doc["round"] < 0:
         raise ConfigError(f"round must be a non-negative integer, got {doc['round']!r}")
     params = state.params
-    if doc["widths"] != params.widths:
+    if any(type(v) is not int for v in doc["widths"]) or doc["widths"] != params.widths:
         raise ConfigError(f"widths {doc['widths']!r} do not match the layers "
                           f"({params.widths})")
     if not np.all(np.isfinite(params.vec)):
@@ -434,18 +450,16 @@ def load_checkpoint(path: str) -> tuple[ServerState, dict]:
     if not doc["layers"]:
         raise ConfigError(f"checkpoint {path} has no layers")
     try:
-        layers = [(np.asarray(l["weight"], dtype=np.float64),
-                   np.asarray(l["bias"], dtype=np.float64)) for l in doc["layers"]]
+        layers = [(_floats(l["weight"]), _floats(l["bias"])) for l in doc["layers"]]
         state = ServerState(
             round_idx=int(doc["round"]),
             params=ParamSet(layers),
-            adam_m=None if doc["adam_m"] is None else
-                   np.asarray(doc["adam_m"], dtype=np.float64),
-            adam_v=None if doc["adam_v"] is None else
-                   np.asarray(doc["adam_v"], dtype=np.float64),
+            adam_m=None if doc["adam_m"] is None else _floats(doc["adam_m"]),
+            adam_v=None if doc["adam_v"] is None else _floats(doc["adam_v"]),
             step_tables=_tables_from_json(doc["step_tables"]))
         _check_restored(state, doc)
-    except (KeyError, TypeError, ValueError, AttributeError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            ShapeError) as exc:
         raise ConfigError(f"checkpoint {path} is malformed: {exc!r}") from exc
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc

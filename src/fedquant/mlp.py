@@ -292,14 +292,15 @@ def predict_logits(params: ParamSet, inputs: np.ndarray,
     weight and activation grids; a plan with noise is rejected.
 
     Each weight is quantized once per call. The rows then run in blocks,
-    split as evenly as ``np.array_split`` splits them, and each block's
-    logits go into one preallocated array. Blocks hold at most
-    ``BLOCK_VALUES // widest layer`` rows, so the pass holds two block
-    activations at a time however many rows it scores: within a block each
-    layer's matmul output is its only new activation-sized array, and the
-    bias, the ReLU and the activation grid (``_apply(..., out=)``) apply to
-    it in place. Besides those it holds the quantized weights, the logits
-    and a boolean mask or one block of rounding signs.
+    split as evenly as ``np.array_split`` splits them; one ``np.concatenate``
+    joins the blocks' logits, and an input that fits in one block returns
+    its logits as they are. Blocks hold at most ``BLOCK_VALUES // widest
+    layer`` rows, so the pass holds two block activations at a time however
+    many rows it scores: within a block each layer's matmul output is its
+    only new activation-sized array, and the bias, the ReLU and the
+    activation grid (``_apply(..., out=)``) apply to it in place. Besides
+    those it holds the quantized weights, the logits and a boolean mask or
+    the block-sized ``np.copysign`` temporary of ``round_half_away``.
 
     The logits equal those of one unblocked pass bit for bit. So no block
     is split off that holds one row or whose product with some layer takes
@@ -314,19 +315,19 @@ def predict_logits(params: ParamSet, inputs: np.ndarray,
     most = max(1, BLOCK_VALUES // max(params.widths))
     least = max(2, SMALL_PRODUCT // min(w.size for w in weights) + 1)
     blocks = max(1, min(-(-len(a) // most), len(a) // least))
-    logits = np.empty((len(a), params.widths[-1]))
-    lo = 0
-    for block in np.array_split(a, blocks):
-        h = block
+
+    def run(h: np.ndarray) -> np.ndarray:
         for l, (w, (_, b)) in enumerate(zip(weights, params.layers)):
             h = matmul(h, w)
             h += b
             if l < len(weights) - 1:
                 np.maximum(h, 0.0, out=h)
                 h = _apply(h, plan.acts, l, out=h)
-        logits[lo:lo + len(block)] = h
-        lo += len(block)
-    return logits
+        return h
+
+    if blocks == 1:
+        return run(a)
+    return np.concatenate([run(block) for block in np.array_split(a, blocks)])
 
 
 def score(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

@@ -72,39 +72,19 @@ def make_spec(range_max: float, bits: int, signed: bool = True) -> QuantSpec:
                      signed=signed)
 
 
-# Elements per round_half_away block: its signs take at most 512 KiB, and a
-# block's four passes stay in cache.
-_ROUND_BLOCK = 1 << 16
-
-
-def _round_rows(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    # copysign, not np.sign: a -0.0 keeps its sign, so quantize is
-    # idempotent by bytes
-    sign = np.copysign(1.0, x)
-    k = np.abs(x, out=out)
-    k += 0.5
-    np.floor(k, out=k)
-    k *= sign
-    return k
-
-
 def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (np.round ties to even);
-    a zero result keeps the sign of its input, so -0.0 stays -0.0.
+    """Round to nearest integer, ties away from zero (np.round ties to even)
+    by the one rule trunc(x + copysign(0.5, x)); -0.0 stays -0.0.
 
-    ``x`` is an array of at least one dimension. The result goes to ``out``
-    (``x`` itself or a buffer not overlapping it), or to a new array when
-    ``out`` is None, leaving ``x`` unchanged. Row blocks of at most
-    ``_ROUND_BLOCK`` elements are rounded in turn, so the only temporary is
-    one block's ``np.copysign``; a boolean mask with ``np.negative(...,
-    where=)`` would be smaller, but numpy's masked loop is 2-3x slower.
+    IEEE addition is symmetric in sign, so for negative x the sum is exactly
+    -(|x| + 0.5): the result is sign(x) * floor(|x| + 0.5) bit for bit, for
+    -0.0, values at or above 2**52 (where + 0.5 rounds) and +-inf too.
+    ``x`` has at least one dimension; the result goes to ``out`` (``x`` or
+    a buffer not overlapping it), or to a new array when ``out`` is None.
+    The one temporary is the copysign.
     """
-    if x.size <= _ROUND_BLOCK:
-        return _round_rows(x, out)
-    k = np.empty_like(x) if out is None else out
-    rows = max(1, _ROUND_BLOCK * len(x) // x.size)
-    for lo in range(0, len(x), rows):
-        _round_rows(x[lo:lo + rows], k[lo:lo + rows])
+    k = np.add(x, np.copysign(0.5, x), out=out)
+    np.trunc(k, out=k)
     return k
 
 
@@ -137,27 +117,26 @@ def candidate_mse(w: np.ndarray, steps: np.ndarray, bits: int,
     """Reconstruction MSE of ``w`` on the grid of each step in ``steps``.
 
     Entry i equals ``np.mean((quantize(w, spec_i) - w) ** 2)`` bit for bit:
-    the same operations in the same order, on ``w`` read in memory order.
+    ``quantize``'s operations in its order, on ``w`` read in memory order:
+    divide by the step; add copysign(0.5, w), as w / step has the sign of
+    w, and trunc, which is ``round_half_away``'s one rule and so sign *
+    floor(|x| + 0.5) bit for bit; clip to the grid; multiply by the step.
     Blocks of steps share one buffer of at most ``_BLOCK_ELEMENTS`` values
     (one row if the tensor is larger), so the loop allocates nothing.
     """
     grid_min, grid_max = grid_bounds(bits, signed)
     flat = np.asarray(w, dtype=np.float64).ravel(order="K")
-    mag = np.abs(flat)
-    sign = np.copysign(1.0, flat)
-    # round(|w|/step) clamped to the grid on w's side of zero
-    cap = np.where(flat >= 0, float(grid_max), float(-grid_min))
+    half = np.copysign(0.5, flat)
     mse = np.empty(steps.size)
     rows = max(1, min(steps.size, _BLOCK_ELEMENTS // flat.size))
     buf = np.empty((rows, flat.size))
     for lo in range(0, steps.size, rows):
         step = steps[lo:lo + rows, None]
         b = buf[:step.shape[0]]
-        np.divide(mag, step, out=b)
-        b += 0.5
-        np.floor(b, out=b)
-        np.minimum(b, cap, out=b)
-        b *= sign
+        np.divide(flat, step, out=b)
+        b += half
+        np.trunc(b, out=b)
+        b.clip(grid_min, grid_max, out=b)
         b *= step
         b -= flat
         np.square(b, out=b)

@@ -354,6 +354,21 @@ MALFORMED_INPUTS = {
         lambda d: d["step_tables"]["weights"][0].update({"32": 0.1})),
     "checkpoint-step-table-zero-step": _bad_checkpoint(
         lambda d: d["step_tables"]["weights"][0].update({"2": 0.0})),
+    # np.asarray and float() would take a string or a bool for a number
+    "checkpoint-string-weight": _bad_checkpoint(
+        lambda d: d["layers"][0]["weight"][0].__setitem__(0, "1")),
+    "checkpoint-bool-weight": _bad_checkpoint(
+        lambda d: d["layers"][0]["weight"][0].__setitem__(0, True)),
+    "checkpoint-string-step": _bad_checkpoint(
+        lambda d: d["step_tables"]["weights"][0].update({"2": "0.1"})),
+    "checkpoint-int-beyond-float-weight": _bad_checkpoint(
+        lambda d: d["layers"][0]["weight"][0].__setitem__(0, 10 ** 400)),
+    "checkpoint-int-beyond-float-step": _bad_checkpoint(
+        lambda d: d["step_tables"]["weights"][0].update({"2": 10 ** 400})),
+    "checkpoint-infinite-round": _bad_checkpoint(
+        lambda d: d.update(round=float("inf"))),
+    "checkpoint-float-widths": _bad_checkpoint(
+        lambda d: d.update(widths=[float(v) for v in d["widths"]])),
     "checkpoint-list-config-with-eval-set": _bad_checkpoint(
         lambda d: d.update(config=[], config_hash=config_hash([])),
         "--set", "eval.weight_bits=[2]"),

@@ -7,8 +7,7 @@ import pytest
 
 from fedquant import mlp
 from fedquant.mlp import BLOCK_VALUES, QuantPlan, init_params, predict_logits
-from fedquant.quantize import (_ROUND_BLOCK, QuantSpec, make_spec, quantize,
-                               round_half_away)
+from fedquant.quantize import QuantSpec, make_spec, quantize, round_half_away
 from fedquant.rng import RngStream
 from helpers import (predict_logits_oracle, quantize_oracle,
                      quantized_copy_oracle, round_half_away_oracle, traced_peak)
@@ -48,8 +47,8 @@ def call_three_ways(fn, x: np.ndarray, *args) -> list[np.ndarray]:
 @pytest.mark.parametrize("signed", [True, False])
 def test_in_place_forms_match_the_allocating_oracles(bits, signed):
     rng = RngStream(bits, (int(signed),))
-    # the last tensor spans three blocks of round_half_away
-    for step, size in ((0.25, 0), (0.37, 0), (3.0, 0), (0.25, 2 * _ROUND_BLOCK)):
+    # the last tensor holds over 2**17 elements, a 1 MiB rounding temporary
+    for step, size in ((0.25, 0), (0.37, 0), (3.0, 0), (0.25, 1 << 17)):
         spec = QuantSpec(bits=bits, step=step, signed=signed)
         x = probe_values(spec, rng, size)
         want = quantize_oracle(x, spec).tobytes()
@@ -157,10 +156,11 @@ def test_eval_forward_holds_two_activations():
     """On a 5000-row 32-256-256-10 model with 4-bit activation grids the
     eval forward runs five blocks of 1000 rows and peaks at two block
     activations (2 x 0.98 ``BLOCK_VALUES``), the quantized weights, the
-    logits and a boolean mask or a block of rounding signs: 2.27
-    ``BLOCK_VALUES`` of float64, or 2.56 with 4-bit weight grids. The
-    unblocked pass peaked at 2.13 and 2.18 full hidden activations (10.4
-    and 10.7 ``BLOCK_VALUES``), the allocating form at 6.00."""
+    logits and a boolean mask or the block-sized ``np.copysign`` temporary
+    of ``round_half_away``: 2.23 ``BLOCK_VALUES`` of float64, or 2.52 with
+    4-bit weight grids. The unblocked pass peaked at 2.13 and 2.18 full
+    hidden activations (10.4 and 10.7 ``BLOCK_VALUES``), the allocating
+    form at 6.00."""
     params = init_params([32, 256, 256, 10], RngStream(5))
     inputs = RngStream(6).normal((5000, 32))
     acts = [make_spec(2.0, 4, signed=False), make_spec(3.0, 4, signed=False)]

@@ -3,13 +3,18 @@ CLI's exit-code contract (0 success, 2 configuration error, 3 divergence),
 and a failing run prints exactly one ``error:`` line and no traceback; any
 document setting several config fields at once builds or raises
 ConfigError; any tensor, bit-width, signedness and step keeps the quantizer
-laws; any server state checkpoints to the bytes ``json.dump`` streams."""
+laws, and the one rounding rule and the range search match their oracles
+by bytes; any server state checkpoints to the bytes ``json.dump`` streams,
+and any one edit of a saved checkpoint evaluates or exits 2 with one
+``error:`` line, with no traceback and no warning."""
 
 import contextlib
+import functools
 import io
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +22,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from hypothesis.extra.numpy import arrays  # noqa: E402
+from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
 from fedquant import federation  # noqa: E402
 
@@ -27,10 +32,12 @@ from fedquant.config import (DEFAULTS, apply_overrides, build,  # noqa: E402
 from fedquant.errors import ConfigError  # noqa: E402
 from fedquant.federation import ServerState, save_checkpoint  # noqa: E402
 from fedquant.mlp import ParamSet  # noqa: E402
-from fedquant.quantize import QuantSpec, StepTable, quantize, ste_mask  # noqa: E402
+from fedquant.quantize import (QuantSpec, StepTable, candidate_mse,  # noqa: E402
+                               quantize, round_half_away, ste_mask)
 from fedquant.strategies import (MQAT_MODES, STRATEGY_KINDS,  # noqa: E402
                                  StepTables)
-from helpers import checkpoint_oracle, quantize_oracle  # noqa: E402
+from helpers import (checkpoint_oracle, quantize_oracle,  # noqa: E402
+                     range_search_oracle, round_half_away_oracle)
 
 SMOKE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "configs", "smoke.json")
@@ -179,6 +186,56 @@ def test_quantizer_laws(case):
     assert np.array_equal(ste_mask(w, spec), (ratio >= lo) & (ratio <= hi))
 
 
+# both zeros, half-integer ties, subnormals, magnitudes at and above 2**52
+# (where + 0.5 itself rounds), the float extremes and the infinities a
+# sweep's overflowed quotient w / step brings
+ROUNDING_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-2 ** 53, 2 ** 53).map(lambda k: k + 0.5),
+    st.sampled_from([0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+                     5e-324, -5e-324, 2.2e-308, -1e-310, 2.0 ** 52 - 0.5,
+                     2.0 ** 52, -2.0 ** 52, 2.0 ** 52 + 1, -(2.0 ** 53 + 2),
+                     1e308, -1e308, float("inf"), float("-inf")]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=8),
+                elements=ROUNDING_VALUES))
+def test_round_half_away_matches_the_oracle(x):
+    """By bytes, into a new array, into ``x`` itself and into another
+    buffer, leaving ``x`` alone unless it is ``out``."""
+    want = round_half_away_oracle(x).tobytes()
+    before = x.tobytes()
+    assert round_half_away(x).tobytes() == want
+    other = np.full_like(x, 7.0)
+    assert round_half_away(x, out=other) is other and other.tobytes() == want
+    assert x.tobytes() == before
+    assert round_half_away(x, out=x) is x and x.tobytes() == want
+
+
+@st.composite
+def range_cases(draw):
+    """A tensor, with negative values on unsigned grids too, a bit-width,
+    a signedness and a candidate count."""
+    values = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                       st.sampled_from([0.0, -0.0, 1e-310, -5e-324, 0.5, -0.5]))
+    w = draw(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=12),
+                    elements=values))
+    w.flat[0] = draw(st.floats(min_value=1e-3, max_value=1e3)) * draw(
+        st.sampled_from([1.0, -1.0]))
+    return (w, draw(st.sampled_from((2, 3, 4, 6, 8))), draw(st.booleans()),
+            draw(st.integers(1, 150)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=range_cases())
+def test_candidate_mse_matches_the_oracle(case):
+    w, bits, signed, num_candidates = case
+    _, steps, mses = range_search_oracle(w, bits, signed, num_candidates)
+    got = candidate_mse(w, np.array(steps), bits, signed)
+    assert got.tobytes() == np.array(mses).tobytes()
+
+
 CHECKPOINT_VALUES = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e300,
@@ -224,3 +281,79 @@ def test_checkpoint_bytes_match_the_streamed_encoder(state, block):
         checkpoint_oracle(want, state, config)
         with open(got, "rb") as fg, open(want, "rb") as fw:
             assert fg.read() == fw.read()
+
+
+@functools.cache
+def _smoke_checkpoint() -> str:
+    """The text of the smoke run's checkpoint, with Adam moments."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", SMOKE, "--out", tmp, "--quiet",
+                         "--set", 'federation.server_opt="adam"']) == 0
+        with open(os.path.join(tmp, "checkpoint.json"), encoding="utf-8") as fh:
+            return fh.read()
+
+
+JSON_VALUES = st.one_of(
+    st.floats(), st.integers(-3, 40), st.sampled_from([10 ** 400, 2 ** 70]),
+    st.sampled_from(["1", "0.1", "", "abc", "NaN"]), st.booleans(), st.none(),
+    st.lists(st.floats(min_value=-2, max_value=2), max_size=3), st.just({}))
+STEP_KEYS = st.one_of(st.sampled_from(["2", "4", "8", "32", "1", "0", "-4",
+                                       " 4", "04", "4.0", "true", ""]),
+                      st.text(max_size=3))
+
+
+@st.composite
+def checkpoint_edits(draw):
+    """One edit of the smoke checkpoint's JSON: a weight, bias or Adam
+    entry, a step-table key or value, the round or the widths."""
+    doc = json.loads(_smoke_checkpoint())
+    pick = lambda seq: draw(st.integers(0, len(seq) - 1))  # noqa: E731
+    kind = draw(st.sampled_from(["weight", "bias", "adam", "step-key",
+                                 "step-value", "round", "widths"]))
+    if kind == "weight":
+        layer = doc["layers"][pick(doc["layers"])]["weight"]
+        row = layer[pick(layer)]
+        row[pick(row)] = draw(JSON_VALUES)
+    elif kind == "bias":
+        bias = doc["layers"][pick(doc["layers"])]["bias"]
+        bias[pick(bias)] = draw(JSON_VALUES)
+    elif kind == "adam":
+        vec = doc[draw(st.sampled_from(["adam_m", "adam_v"]))]
+        vec[pick(vec)] = draw(JSON_VALUES)
+    elif kind.startswith("step"):
+        tables = doc["step_tables"]["weights"]
+        table = tables[pick(tables)]
+        key = sorted(table)[pick(table)]
+        if kind == "step-key":
+            table[draw(STEP_KEYS)] = table.pop(key)
+        else:
+            table[key] = draw(JSON_VALUES)
+    elif kind == "round":
+        doc["round"] = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        doc["widths"] = draw(JSON_VALUES)
+    else:
+        doc["widths"][pick(doc["widths"])] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(doc=checkpoint_edits())
+def test_any_checkpoint_edit_evaluates_or_exits_2(doc):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["eval", "--checkpoint", path])
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2), (code, err.getvalue())
+    if code:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
