@@ -78,7 +78,7 @@ def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
     Class means are orthonormal directions scaled to ``class_separation``
     (so the task gets easier as the separation grows); samples are unit
     variance around their mean. Within each class block every 5th sample
-    goes to the validation split.
+    goes to the validation split, written straight into its rows there.
     """
     if num_classes < 2 or dim < 2:
         raise ConfigError("need num_classes >= 2, dim >= 2")
@@ -90,13 +90,16 @@ def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
             f"cannot place {num_classes} near-orthogonal class means in {dim} dims")
     q, _ = np.linalg.qr(rng.normal((dim, num_classes)))
     means = class_separation * q.T  # one row per class
-    tr_x, tr_y, va_x, va_y = [], [], [], []
+    n_tr, n_va = int((~val_mask).sum()), int(val_mask.sum())
+    tr_x, va_x = np.empty((num_classes * n_tr, dim)), np.empty((num_classes * n_va, dim))
     for c in range(num_classes):
-        block = means[c] + rng.normal((samples_per_class, dim))
-        tr_x.append(block[~val_mask]); tr_y.append(np.full((~val_mask).sum(), c))
-        va_x.append(block[val_mask]); va_y.append(np.full(val_mask.sum(), c))
-    return (Dataset(np.vstack(tr_x), np.concatenate(tr_y), num_classes),
-            Dataset(np.vstack(va_x), np.concatenate(va_y), num_classes))
+        block = rng.normal((samples_per_class, dim))
+        block += means[c]
+        np.compress(~val_mask, block, axis=0, out=tr_x[c * n_tr:(c + 1) * n_tr])
+        np.compress(val_mask, block, axis=0, out=va_x[c * n_va:(c + 1) * n_va])
+    classes = np.arange(num_classes)
+    return (Dataset(tr_x, np.repeat(classes, n_tr), num_classes),
+            Dataset(va_x, np.repeat(classes, n_va), num_classes))
 
 
 def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,

@@ -143,25 +143,35 @@ def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
             raise AggregationError(
                 f"client {u.client_id} delta shape {u.delta.shape} != {dim}")
         total += u.delta
-    return total / len(ordered)
+    return np.divide(total, len(ordered), out=total)
 
 
 def server_step(state: ServerState, delta: np.ndarray, cfg: FedConfig) -> ServerState:
-    """Apply the aggregated delta with the configured server optimizer."""
+    """Apply the aggregated delta with the configured server optimizer,
+    writing only the new parameters, the new Adam moments and one scratch."""
     flat = state.params.vec
     if delta.shape != flat.shape:
         raise AggregationError("aggregated delta does not match parameter count")
     if cfg.server_opt == "sgd":
-        new_flat = flat + cfg.eta_s * delta
+        new_flat = np.multiply(delta, cfg.eta_s)
         m, v = state.adam_m, state.adam_v
     else:
         t = state.round_idx + 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        m = b1 * state.adam_m + (1.0 - b1) * delta
-        v = b2 * state.adam_v + (1.0 - b2) * delta * delta
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_flat = flat + cfg.eta_s * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        scratch = np.multiply(delta, 1.0 - b1)
+        m = np.multiply(state.adam_m, b1)
+        m += scratch
+        np.multiply(delta, 1.0 - b2, out=scratch)
+        scratch *= delta
+        v = np.multiply(state.adam_v, b2)
+        v += scratch
+        np.divide(m, 1.0 - b1 ** t, out=scratch)  # m_hat
+        new_flat = np.divide(v, 1.0 - b2 ** t)  # v_hat
+        scratch *= cfg.eta_s
+        np.sqrt(new_flat, out=new_flat)
+        new_flat += cfg.adam_eps
+        np.divide(scratch, new_flat, out=new_flat)
+    new_flat += flat
     if not np.all(np.isfinite(new_flat)):
         raise DivergedError("server update produced non-finite parameters",
                             round_idx=state.round_idx)
@@ -268,10 +278,12 @@ def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
     """Execute the full round loop; deterministic for a given cfg.seed.
 
     ``progress`` is an optional callback(round_idx, HistoryRow) fired at each
-    evaluation round. ``threads`` bounds the client thread pool, which runs
-    only for models of at least ``POOL_MIN_PARAMS`` parameters (``step_round``
-    gets its ``map``, else builtin ``map``); the result is independent of the
-    thread count by construction.
+    evaluation round. Of a round's updates only the last local losses are
+    kept, so its deltas are freed before the next round or the evaluation.
+    ``threads`` bounds the client thread pool, which runs only for models of
+    at least ``POOL_MIN_PARAMS`` parameters (``step_round`` gets its ``map``,
+    else builtin ``map``); the result is independent of the thread count by
+    construction.
     """
     state = init_state(cfg, strat, data, hidden)
     root = RngStream(cfg.seed)
@@ -284,10 +296,11 @@ def run(cfg: FedConfig, strat: StrategyConfig, data: FederatedDataset,
         for t in range(cfg.total_rounds):
             state, updates = step_round(state, cfg, strat, data, root,
                                         map_clients)
+            last_losses = [u.local_loss_trace[-1] for u in updates]
+            del updates
             if (t + 1) % cfg.eval_every == 0 or t == cfg.total_rounds - 1:
                 acc, loss = evaluate_global(state.params, data.holdout)
-                client_loss = float(np.mean(
-                    [u.local_loss_trace[-1] for u in updates]))
+                client_loss = float(np.mean(last_losses))
                 row = HistoryRow(round_idx=t + 1, val_accuracy=acc,
                                  val_loss=loss, mean_client_loss=client_loss)
                 history.rows.append(row)
@@ -335,6 +348,9 @@ def _tables_from_json(obj) -> StepTables | None:
     if obj is None:
         return None
     def parse(entries):
+        for key in (k for e in entries for k in e):
+            if key != str(int(key)):  # save_checkpoint writes str(bits)
+                raise ConfigError(f"step-table key {key!r} is not a bit-width")
         return [StepTable({int(b): float(_floats(s)) for b, s in e.items()})
                 for e in entries]
     return StepTables(weights=parse(obj["weights"]),

@@ -79,11 +79,11 @@ def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     IEEE addition is symmetric in sign, so for negative x the sum is exactly
     -(|x| + 0.5): the result is sign(x) * floor(|x| + 0.5) bit for bit, for
     -0.0, values at or above 2**52 (where + 0.5 rounds) and +-inf too.
-    ``x`` has at least one dimension; the result goes to ``out`` (``x`` or
-    a buffer not overlapping it), or to a new array when ``out`` is None.
+    The result goes to ``out`` (``x`` or a buffer not overlapping it), or
+    to a new array, 0-d for a 0-d ``x``, when ``out`` is None.
     The one temporary is the copysign.
     """
-    k = np.add(x, np.copysign(0.5, x), out=out)
+    k = np.add(x, np.copysign(0.5, x), out=... if out is None else out)
     np.trunc(k, out=k)
     return k
 
@@ -99,7 +99,7 @@ def quantize(w: np.ndarray, spec: QuantSpec,
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise NumericError("cannot quantize non-finite values")
-    k = np.divide(w, spec.step, out=out)
+    k = np.divide(w, spec.step, out=... if out is None else out)
     round_half_away(k, out=k)
     # ndarray.clip is np.clip without its dispatch; it also keeps np.clip's
     # sign of zero, which np.maximum does not (-0.0 against a grid floor of 0)

@@ -116,11 +116,14 @@ class RngStream:
         return _mix64_array(state)
 
     def uniform(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        """I.i.d. uniforms on [0, 1) as float64."""
+        """I.i.d. uniforms on [0, 1) as float64, in the buffer of the draws."""
         shape = (size,) if isinstance(size, int) else tuple(size)
         raw = self._raw(int(math.prod(shape)))
         raw >>= _U11
-        return (raw * (2.0 ** -53)).reshape(shape)
+        out = raw.view(np.float64)
+        out[...] = raw
+        out *= 2.0 ** -53
+        return out.reshape(shape)
 
     def _uniform_open(self, n: int) -> np.ndarray:
         # uniforms on (0, 1], safe to pass through log()

@@ -209,7 +209,7 @@ def build_plan(strat: StrategyConfig, tables: StepTables | None,
 
 def local_train(task: ClientTask, strat: StrategyConfig) -> ClientUpdate:
     """Run K SGD steps through ``task.plan``, plus the kurtosis regularizer
-    for kure, and return the delta.
+    for kure, and return the delta, formed in the private parameter copy.
 
     The weight regularizer's gradients add into ``backward``'s weight views
     in place, so the bias gradients are left as ``backward`` made them.
@@ -243,7 +243,8 @@ def local_train(task: ClientTask, strat: StrategyConfig) -> ClientUpdate:
                     round_idx=task.round_idx, client_id=task.client_id) from exc
             params.add_scaled(grads, -task.eta_c)
             trace.append(float(loss))
-        delta = params.vec - task.start_params.vec
+        delta = params.vec
+        delta -= task.start_params.vec
     if not (np.isfinite(delta).all() and all(map(math.isfinite, trace))):
         raise DivergedError(f"client {task.client_id} loss or update non-finite",
                             round_idx=task.round_idx, client_id=task.client_id)

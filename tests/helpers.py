@@ -10,9 +10,11 @@ import tracemalloc
 
 import numpy as np
 
-from fedquant.errors import DegenerateTensorError, NumericError, ShapeError
+from fedquant.data import Dataset, holdout_mask
+from fedquant.errors import (DegenerateTensorError, DivergedError, NumericError,
+                             ShapeError)
 from fedquant.federation import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                 _tables_to_json, config_hash)
+                                 ServerState, _tables_to_json, config_hash)
 from fedquant.evaluation import _trained_tables, _weight_specs
 from fedquant.mlp import Batch, ParamSet, forward
 from fedquant.quantize import (IDENTITY_BITS, RANGE_CANDIDATES, QuantSpec,
@@ -113,8 +115,9 @@ def integers_oracle(key: int, counter: int, upper: int, n: int) -> np.ndarray:
 
 def round_half_away_oracle(x: np.ndarray) -> np.ndarray:
     """``round_half_away`` before it took ``out=``: floor(|x| + 0.5) times
-    ``np.copysign(1.0, x)``, in a new array, so a zero keeps its sign."""
-    k = np.abs(x)
+    ``np.copysign(1.0, x)``, in a new array (0-d for a 0-d or scalar ``x``),
+    so a zero keeps its sign."""
+    k = np.array(np.abs(x))
     k += 0.5
     np.floor(k, out=k)
     k *= np.copysign(1.0, x)
@@ -217,6 +220,46 @@ def checkpoint_oracle(path: str, state, config: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def server_step_oracle(state, delta: np.ndarray, cfg) -> ServerState:
+    """``federation.server_step`` before it worked in place: the SGD and
+    Adam updates as whole-array expressions, each stage a new array."""
+    flat = state.params.vec
+    if cfg.server_opt == "sgd":
+        new_flat = flat + cfg.eta_s * delta
+        m, v = state.adam_m, state.adam_v
+    else:
+        t = state.round_idx + 1
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        m = b1 * state.adam_m + (1.0 - b1) * delta
+        v = b2 * state.adam_v + (1.0 - b2) * delta * delta
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_flat = flat + cfg.eta_s * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    if not np.all(np.isfinite(new_flat)):
+        raise DivergedError("server update produced non-finite parameters",
+                            round_idx=state.round_idx)
+    return ServerState(round_idx=state.round_idx + 1,
+                       params=state.params.unflatten(new_flat),
+                       adam_m=m, adam_v=v, step_tables=state.step_tables)
+
+
+def gen_synthetic_oracle(num_classes: int, dim: int, samples_per_class: int,
+                         class_separation: float, rng) -> tuple[Dataset, Dataset]:
+    """``data.gen_synthetic`` before it wrote into preallocated splits: per
+    class lists of the block's rows and labels, joined by ``np.vstack`` and
+    ``np.concatenate``."""
+    val_mask = holdout_mask(samples_per_class, "samples_per_class")
+    q, _ = np.linalg.qr(rng.normal((dim, num_classes)))
+    means = class_separation * q.T
+    tr_x, tr_y, va_x, va_y = [], [], [], []
+    for c in range(num_classes):
+        block = means[c] + rng.normal((samples_per_class, dim))
+        tr_x.append(block[~val_mask]); tr_y.append(np.full((~val_mask).sum(), c))
+        va_x.append(block[val_mask]); va_y.append(np.full(val_mask.sum(), c))
+    return (Dataset(np.vstack(tr_x), np.concatenate(tr_y), num_classes),
+            Dataset(np.vstack(va_x), np.concatenate(va_y), num_classes))
 
 
 def flatten_oracle(params: ParamSet) -> np.ndarray:

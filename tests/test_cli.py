@@ -249,6 +249,11 @@ def _bad_checkpoint(edit, *args):
     return build
 
 
+def _rename_step_key(doc, old, new):
+    table = doc["step_tables"]["weights"][0]
+    table[new] = table.pop(old)
+
+
 def _not_json(tmp_path, checkpoint):
     path = tmp_path / "bad_checkpoint.json"
     path.write_text("{not json")
@@ -352,6 +357,11 @@ MALFORMED_INPUTS = {
     "checkpoint-bool-round": _bad_checkpoint(lambda d: d.update(round=True)),
     "checkpoint-step-table-32-bits": _bad_checkpoint(
         lambda d: d["step_tables"]["weights"][0].update({"32": 0.1})),
+    # save_checkpoint writes each step-table key as str(bits)
+    "checkpoint-step-table-spaced-key": _bad_checkpoint(
+        lambda d: _rename_step_key(d, "4", " 4")),
+    "checkpoint-step-table-zero-padded-key": _bad_checkpoint(
+        lambda d: _rename_step_key(d, "4", "04")),
     "checkpoint-step-table-zero-step": _bad_checkpoint(
         lambda d: d["step_tables"]["weights"][0].update({"2": 0.0})),
     # np.asarray and float() would take a string or a bool for a number

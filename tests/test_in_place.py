@@ -1,16 +1,26 @@
-"""The in-place quantizer and the blocked eval forward: the bits of the
-allocating forms kept in ``helpers`` and of one unblocked pass, inputs left
-alone unless given as ``out``, and the eval forward's memory bound."""
+"""The in-place forms: the quantizer, the blocked eval forward, the
+aggregate, the server step and the data build equal the bits of the
+allocating forms kept in ``helpers`` (and the eval forward those of one
+unblocked pass), inputs are left alone unless given as ``out``, and the
+eval forward, the round loop and the data build keep their memory bounds."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedquant import mlp
-from fedquant.mlp import BLOCK_VALUES, QuantPlan, init_params, predict_logits
+from fedquant.data import FederatedDataset, dirichlet_partition, gen_synthetic
+from fedquant.errors import DivergedError
+from fedquant.federation import FedConfig, ServerState, aggregate, run, server_step
+from fedquant.mlp import (BLOCK_VALUES, ParamSet, QuantPlan, init_params,
+                          predict_logits)
 from fedquant.quantize import QuantSpec, make_spec, quantize, round_half_away
-from fedquant.rng import RngStream
-from helpers import (predict_logits_oracle, quantize_oracle,
-                     quantized_copy_oracle, round_half_away_oracle, traced_peak)
+from fedquant.rng import Purpose, RngStream
+from fedquant.strategies import ClientUpdate, StrategyConfig
+from helpers import (gen_synthetic_oracle, predict_logits_oracle, quantize_oracle,
+                     quantized_copy_oracle, round_half_away_oracle,
+                     server_step_oracle, traced_peak)
 
 
 def probe_values(spec: QuantSpec, rng: RngStream, size: int = 0) -> np.ndarray:
@@ -167,3 +177,114 @@ def test_eval_forward_holds_two_activations():
     for weights in ([], [make_spec(0.5, 4, signed=True)] * 3):
         peak = traced_peak(predict_logits, params, inputs, QuantPlan(weights, acts))
         assert peak <= 2.75 * BLOCK_VALUES * 8, (len(weights), peak)
+
+
+# both zeros, subnormals and magnitudes whose sums and squares overflow
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310,
+                                    2.2250738585072014e-308, 1e300, -1e300]))
+
+
+@st.composite
+def server_cases(draw):
+    """A one-layer state with drawn parameters and Adam moments, a drawn
+    aggregated delta and a drawn SGD or Adam config."""
+    n = draw(st.integers(1, 6))
+    vec = lambda size: draw(arrays(np.float64, size, elements=VALUES))  # noqa: E731
+    params = ParamSet([(vec(n).reshape(1, n), vec(n))])
+    opt = draw(st.sampled_from(["sgd", "adam"]))
+    cfg = FedConfig(total_rounds=1, num_clients=1, clients_per_round=1,
+                    eta_s=draw(st.sampled_from([1e-2, 1.0, 3.7])),
+                    server_opt=opt,
+                    adam_beta1=draw(st.sampled_from([0.0, 0.9])),
+                    adam_beta2=draw(st.sampled_from([0.0, 0.99, 0.999])),
+                    adam_eps=draw(st.sampled_from([1e-8, 1e-3])))
+    adam = opt == "adam"
+    state = ServerState(round_idx=draw(st.integers(0, 60)), params=params,
+                        adam_m=vec(2 * n) if adam else None,
+                        adam_v=vec(2 * n) if adam else None)
+    return state, vec(2 * n), cfg
+
+
+def _step_bytes(step, state, delta, cfg):
+    """The new parameters and moments by bytes, or None if the step diverged
+    (as overflowing squares or sums may make it)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = step(state, delta, cfg)
+    except DivergedError:
+        return None
+    assert new.round_idx == state.round_idx + 1
+    return [None if a is None else a.tobytes()
+            for a in (new.params.vec, new.adam_m, new.adam_v)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=server_cases())
+def test_server_step_matches_the_oracle(case):
+    """The in-place SGD and Adam steps write the oracle's bytes, or both
+    diverge, and leave the state and the delta as they were."""
+    state, delta, cfg = case
+    inputs = [a for a in (state.params.vec, state.adam_m, state.adam_v, delta)
+              if a is not None]
+    before = [a.tobytes() for a in inputs]
+    assert (_step_bytes(server_step, state, delta, cfg)
+            == _step_bytes(server_step_oracle, state, delta, cfg))
+    assert [a.tobytes() for a in inputs] == before
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(deltas=st.integers(1, 6).flatmap(lambda n: st.lists(
+    arrays(np.float64, n, elements=VALUES), min_size=1, max_size=5)))
+def test_aggregate_matches_the_allocating_mean(deltas):
+    """The sum in client-id order divided in place equals a new quotient."""
+    before = [d.tobytes() for d in deltas]
+    want = np.zeros(deltas[0].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in deltas:
+            want += d
+        ups = [ClientUpdate(i, d, [0.0])
+               for i, d in reversed(list(enumerate(deltas)))]
+        assert aggregate(ups).tobytes() == (want / len(deltas)).tobytes()
+    assert [d.tobytes() for d in deltas] == before
+
+
+@pytest.mark.parametrize("classes, dim, per_class, sep", [
+    (2, 2, 5, 0.0), (3, 8, 13, 2.0), (4, 5, 26, 3.0), (10, 32, 50, 2.7)])
+def test_gen_synthetic_matches_the_list_build(classes, dim, per_class, sep):
+    got = gen_synthetic(classes, dim, per_class, sep, RngStream(per_class))
+    want = gen_synthetic_oracle(classes, dim, per_class, sep, RngStream(per_class))
+    for g, w in zip(got, want):
+        assert g.inputs.tobytes() == w.inputs.tobytes()
+        assert g.labels.tobytes() == w.labels.tobytes()
+        assert g.num_classes == w.num_classes
+
+
+def test_round_loop_holds_one_round_of_updates():
+    """Three serial rounds of a 32-256-256-10 apqn model with Adam, ten
+    clients a round and an evaluation in the last, peak at 18.2 parameter
+    vectors above the built data: the state's three, the round's ten
+    deltas, their mean and the server step's four. Keeping the previous
+    round's updates alive through the next round peaked at 30.0."""
+    root = RngStream(0)
+    train, val = gen_synthetic(10, 32, 50, 3.0, root.child(Purpose.DATA))
+    assignment = dirichlet_partition(train.labels, 20, 1.0,
+                                     root.child(Purpose.PARTITION))
+    data = FederatedDataset(base=train, assignment=assignment, holdout=val)
+    cfg = FedConfig(total_rounds=3, num_clients=20, clients_per_round=10,
+                    eta_s=0.01, eta_c=0.1, local_steps=2, batch_size=20,
+                    server_opt="adam", eval_every=3)
+    strat = StrategyConfig(kind="apqn", train_bits=4, quantize_acts=True)
+    peak = traced_peak(run, cfg, strat, data, (256, 256))
+    assert peak < 20 * 76_810 * 8, peak / (76_810 * 8)
+
+
+def test_data_build_holds_one_class_block():
+    """Ten classes of 2500 samples in 32 dims peak at the output (inputs and
+    labels of both splits) plus 4.7 class blocks of draws; building per
+    class lists and joining them peaked at the output plus 11.3."""
+    classes, per_class, dim = 10, 2500, 32
+    block = per_class * dim * 8
+    output = classes * per_class * (dim + 1) * 8
+    peak = traced_peak(gen_synthetic, classes, dim, per_class, 2.7, RngStream(1))
+    assert peak < output + 5 * block, (peak - output) / block
